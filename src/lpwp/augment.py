@@ -8,7 +8,7 @@ source, so the rendering is bit-exact.
 import re
 
 from .errors import ValidationError
-from .ingest import LABELS, EntitySpan
+from .ingest import LABELS, EntitySpan, check_spans
 
 _TAG_RE = re.compile(r"<(/?)([A-Z_][A-Z_0-9]*)>")
 
@@ -16,19 +16,7 @@ _TAG_RE = re.compile(r"<(/?)([A-Z_][A-Z_0-9]*)>")
 def augment_text(text: str, spans) -> str:
     """Wrap every span of ``text`` in tags named after its label."""
     spans = sorted(spans, key=lambda s: (s.start, s.end))
-    for span in spans:
-        if not (0 <= span.start < span.end <= len(text)):
-            raise ValidationError(
-                f"span ({span.start}, {span.end}) out of bounds"
-            )
-        if span.label not in LABELS:
-            raise ValidationError(f"unknown span label {span.label!r}")
-    for a, b in zip(spans, spans[1:]):
-        if b.start < a.end:
-            raise ValidationError(
-                f"overlapping spans ({a.start}, {a.end}, {a.label}) and "
-                f"({b.start}, {b.end}, {b.label})"
-            )
+    check_spans(text, spans)
     parts = []
     cursor = 0
     for span in spans:

@@ -29,9 +29,13 @@ class UnsupportedDeclarationError(ValidationError):
 
 
 class IrParseError(ToolkitError):
-    """Strict-mode parse failure, with the character position of the fault."""
+    """IR grammar violation, with the character position of the fault.
+
+    Raised by strict-mode parsing; lenient mode turns it into a diagnostic.
+    """
 
     def __init__(self, message, position):
+        self.message = message
         self.position = position
         super().__init__(f"char {position}: {message}")
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import ir
 from .errors import MappingError, UnsupportedDeclarationError, ValidationError
-from .numbers import format_number
+from .numbers import decimal_places, format_number
 
 logger = logging.getLogger(__name__)
 
@@ -39,11 +39,38 @@ class EntitySpan:
     label: str
 
 
+def check_spans(text: str, spans) -> None:
+    """Reject unknown labels, out-of-bounds spans and overlaps.
+
+    ``spans`` must be sorted by ``(start, end)``.
+    """
+    for span in spans:
+        if span.label not in LABELS:
+            raise ValidationError(
+                f"unknown span label {span.label!r}", field="spans"
+            )
+        if not (0 <= span.start < span.end <= len(text)):
+            raise ValidationError(
+                f"span ({span.start}, {span.end}) out of bounds for text "
+                f"of length {len(text)}",
+                field="spans",
+            )
+    for a, b in zip(spans, spans[1:]):
+        if b.start < a.end:
+            raise ValidationError(
+                f"overlapping spans ({a.start}, {a.end}, {a.label}) and "
+                f"({b.start}, {b.end}, {b.label})",
+                field="spans",
+            )
+
+
 @dataclass(frozen=True)
 class OrderMapping:
     """Assignment of variable surface names to canonical column indices."""
 
     entries: dict
+    # normalize_name(key) -> index, derived from ``entries``.
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         indices = sorted(self.entries.values())
@@ -53,6 +80,18 @@ class OrderMapping:
                 f"0..{len(indices) - 1}",
                 field="order_mapping",
             )
+        index = {}
+        for key, column in self.entries.items():
+            name = normalize_name(key)
+            if name in index:
+                first = next(k for k in self.entries if normalize_name(k) == name)
+                raise ValidationError(
+                    f"order mapping keys {first!r} and {key!r} both "
+                    f"normalize to {name!r}",
+                    field="order_mapping",
+                )
+            index[name] = column
+        object.__setattr__(self, "_index", index)
 
     @property
     def n_vars(self) -> int:
@@ -60,10 +99,9 @@ class OrderMapping:
 
     def resolve(self, name: str) -> int:
         """Map a (possibly sloppily spaced) variable name to its column."""
-        wanted = normalize_name(name)
-        for key, index in self.entries.items():
-            if normalize_name(key) == wanted:
-                return index
+        index = self._index.get(normalize_name(name))
+        if index is not None:
+            return index
         known = ", ".join(sorted(self.entries))
         raise MappingError(f"unknown variable {name!r} (known: {known})")
 
@@ -85,24 +123,7 @@ class Problem:
         self.validate()
 
     def validate(self):
-        for span in self.spans:
-            if span.label not in LABELS:
-                raise ValidationError(
-                    f"unknown span label {span.label!r}", field="spans"
-                )
-            if not (0 <= span.start < span.end <= len(self.text)):
-                raise ValidationError(
-                    f"span ({span.start}, {span.end}) out of bounds for text "
-                    f"of length {len(self.text)}",
-                    field="spans",
-                )
-        for a, b in zip(self.spans, self.spans[1:]):
-            if b.start < a.end:
-                raise ValidationError(
-                    f"overlapping spans ({a.start}, {a.end}, {a.label}) and "
-                    f"({b.start}, {b.end}, {b.label})",
-                    field="spans",
-                )
+        check_spans(self.text, self.spans)
         for span in self.spans:
             if span.label != "VAR":
                 continue
@@ -123,8 +144,19 @@ class Problem:
                     self.order_mapping.resolve(var)
 
 
+def _gold_number(value) -> Fraction:
+    number = Fraction(str(value))
+    if decimal_places(number) is None:
+        # save_dataset could not write it back.
+        raise ValueError(f"{value!r} has no terminating decimal expansion")
+    return number
+
+
 def gold_to_declarations(records) -> list:
-    """Convert raw objective/constraint records into declarations."""
+    """Convert raw objective/constraint records into declarations.
+
+    Limits and coefficients must have a terminating decimal expansion.
+    """
     decls = []
     for i, rec in enumerate(records):
         try:
@@ -139,8 +171,8 @@ def gold_to_declarations(records) -> list:
                 ))
             elif rtype == "linear":
                 decls.append(ir.constraint(
-                    rec["direction"], rec["operator"], str(rec["limit"]),
-                    {v: Fraction(str(c)) for v, c in rec["terms"].items()},
+                    rec["direction"], rec["operator"], _gold_number(rec["limit"]),
+                    {v: _gold_number(c) for v, c in rec["terms"].items()},
                 ))
             else:
                 raise UnsupportedDeclarationError(rtype, field=f"gold[{i}]")
@@ -187,6 +219,8 @@ def problem_from_record(record, line=None) -> Problem:
         ]
         mapping = OrderMapping(dict(record["order_mapping"]))
         gold = record.get("gold")
+        if not isinstance(record["id"], str):
+            raise ValidationError("problem id must be a string", field="id")
         return Problem(
             id=record["id"],
             text=record["text"],
@@ -215,11 +249,10 @@ def problem_to_record(problem: Problem) -> dict:
     return record
 
 
-def load_dataset(path, format="jsonl") -> list:
-    """Load and validate a dataset; any invariant violation is fatal."""
-    if format != "jsonl":
-        raise ValueError(f"unsupported format: {format!r}")
+def load_dataset(path) -> list:
+    """Load and validate a JSONL dataset; any invariant violation is fatal."""
     problems = []
+    seen_ids = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -229,10 +262,11 @@ def load_dataset(path, format="jsonl") -> list:
             except json.JSONDecodeError as err:
                 raise ValidationError(f"malformed JSON: {err}", line=line_no)
             problem = problem_from_record(record, line=line_no)
-            if any(p.id == problem.id for p in problems):
+            if problem.id in seen_ids:
                 raise ValidationError(
                     f"duplicate problem id {problem.id!r}", line=line_no
                 )
+            seen_ids.add(problem.id)
             problems.append(problem)
     return problems
 

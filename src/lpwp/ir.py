@@ -119,13 +119,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _ParseFailure(Exception):
-    def __init__(self, message, position):
-        self.message = message
-        self.position = position
-        super().__init__(message)
-
-
 @dataclass
 class _TokenStream:
     text: str
@@ -144,7 +137,7 @@ class _TokenStream:
     def expect(self, token):
         if self.peek() != token:
             got = self.peek() or "end of input"
-            raise _ParseFailure(f"expected {token!r}, got {got!r}", self.here())
+            raise IrParseError(f"expected {token!r}, got {got!r}", self.here())
         self._require_no_text_before()
         self.pos += 1
 
@@ -153,21 +146,21 @@ class _TokenStream:
         end = self.tokens[self.pos][1]
         between = self.text[start:end]
         if between.strip():
-            raise _ParseFailure(f"unexpected text {between.strip()!r}", start)
+            raise IrParseError(f"unexpected text {between.strip()!r}", start)
 
     def content(self, tag):
         """Consume ``<tag> text </tag>`` and return the stripped text."""
         self.expect(f"<{tag}>")
         if self.pos >= len(self.tokens):
-            raise _ParseFailure(f"unterminated <{tag}>", self.here())
+            raise IrParseError(f"unterminated <{tag}>", self.here())
         start = self.tokens[self.pos - 1][2]
         end = self.tokens[self.pos][1]
         value = self.text[start:end].strip()
         if self.peek() != f"</{tag}>":
-            raise _ParseFailure(f"expected </{tag}>", self.here())
+            raise IrParseError(f"expected </{tag}>", self.here())
         self.pos += 1
         if not value:
-            raise _ParseFailure(f"empty <{tag}> content", start)
+            raise IrParseError(f"empty <{tag}> content", start)
         return value
 
 
@@ -177,7 +170,7 @@ def _parse_coefficient(token, position):
     try:
         return parse_number(token)
     except ValueError:
-        raise _ParseFailure(f"bad numeric value {token!r}", position)
+        raise IrParseError(f"bad numeric value {token!r}", position)
 
 
 def _parse_terms(stream):
@@ -194,12 +187,11 @@ def _parse_terms(stream):
         else:
             terms[var] = coeff
     if not terms:
-        raise _ParseFailure("declaration has no terms", stream.here())
+        raise IrParseError("declaration has no terms", stream.here())
     return terms, duplicates
 
 
 def _parse_one_declaration(stream):
-    start = stream.here()
     stream.expect("<DECLARATION>")
     head = stream.peek()
     if head == "<OBJ_DIR>":
@@ -212,18 +204,18 @@ def _parse_one_declaration(stream):
         direction = stream.content("CONST_DIR")
         op = stream.content("OPERATOR")
         if op not in OPERATORS:
-            raise _ParseFailure(f"unknown operator {op!r}", stream.here())
+            raise IrParseError(f"unknown operator {op!r}", stream.here())
         limit_pos = stream.here()
         limit = stream.content("LIMIT")
         if limit == "ONE":
-            raise _ParseFailure("ONE is only valid as a coefficient", limit_pos)
+            raise IrParseError("ONE is only valid as a coefficient", limit_pos)
         limit = _parse_coefficient(limit, limit_pos)
         stream.expect("[is]")
         terms, duplicates = _parse_terms(stream)
         decl = Declaration(CONSTRAINT, direction, terms, operator=op, limit=limit)
     else:
         got = head or "end of input"
-        raise _ParseFailure(
+        raise IrParseError(
             f"expected <OBJ_DIR> or <CONST_DIR>, got {got!r}", stream.here()
         )
     stream.expect("</DECLARATION>")
@@ -231,7 +223,7 @@ def _parse_one_declaration(stream):
         stream.diagnostics.append(
             f"char {pos}: duplicate variable {var!r}, coefficients summed"
         )
-    return decl, start
+    return decl
 
 
 def _resync(stream):
@@ -280,9 +272,8 @@ def parse_declarations(ir: str, mode: str = "strict"):
                 )
             break
         try:
-            decl, _ = _parse_one_declaration(stream)
-            decls.append(decl)
-        except _ParseFailure as failure:
+            decls.append(_parse_one_declaration(stream))
+        except IrParseError as failure:
             message = failure.message
             if stream.peek() is None:
                 message = f"unterminated declaration ({message})"

@@ -18,6 +18,23 @@ def parse_number(token: str) -> Fraction:
     return Fraction(token)
 
 
+def decimal_places(value: Fraction):
+    """Digits after the point in the decimal expansion of ``value``.
+
+    Returns None when the expansion does not terminate, i.e. when the
+    reduced denominator has a prime factor other than 2 and 5.
+    """
+    d = value.denominator
+    twos = fives = 0
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    return max(twos, fives) if d == 1 else None
+
+
 def format_number(value: Fraction) -> str:
     """Render a rational as the exact decimal string it came from.
 
@@ -26,17 +43,9 @@ def format_number(value: Fraction) -> str:
     """
     if value.denominator == 1:
         return str(value.numerator)
-    twos = fives = 0
-    d = value.denominator
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
+    places = decimal_places(value)
+    if places is None:
         raise ValueError(f"{value} has no terminating decimal expansion")
-    places = max(twos, fives)
     scaled = value * 10**places
     digits = str(abs(scaled.numerator)).rjust(places + 1, "0")
     sign = "-" if value < 0 else ""

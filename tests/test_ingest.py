@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,13 +90,28 @@ def test_non_bijective_order_mapping_rejected():
         OrderMapping({"x": 1, "y": 1})
 
 
+def test_order_mapping_keys_colliding_after_normalization_rejected():
+    with pytest.raises(ValidationError) as err:
+        OrderMapping({"Farm 1": 0, "farm  1": 1})
+    assert err.value.field == "order_mapping"
+
+
 def test_duplicate_ids_rejected(tmp_path):
-    problem = berry_problem()
-    ingest.save_dataset([problem], tmp_path / "one.jsonl")
-    doubled = (tmp_path / "one.jsonl").read_text() * 2
-    (tmp_path / "two.jsonl").write_text(doubled)
-    with pytest.raises(ValidationError):
-        ingest.load_dataset(tmp_path / "two.jsonl")
+    berry = ingest.problem_to_record(berry_problem())
+    other = dict(berry, id="other")
+    write_jsonl(tmp_path / "d.jsonl", [berry, other, berry])
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert err.value.line == 3
+    assert "duplicate problem id 'berry'" in str(err.value)
+
+
+def test_non_string_id_rejected(tmp_path):
+    record = dict(ingest.problem_to_record(berry_problem()), id=["berry"])
+    write_jsonl(tmp_path / "d.jsonl", [record])
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert err.value.line == 1
 
 
 def test_spans_sorted_after_construction():
@@ -126,6 +142,38 @@ def test_gold_to_declarations_linear():
     assert decl.operator == "GREATER_OR_EQUAL"
     assert decl.limit == 3000
     assert decl.terms == {"farm 2": 70, "farm 1": 50}
+
+
+@pytest.mark.parametrize("slot", ["limit", "coefficient"])
+def test_gold_number_without_terminating_decimal_rejected(tmp_path, slot):
+    gold = dict(BERRY_GOLD_RECORDS[1])
+    if slot == "limit":
+        gold["limit"] = "1/3"
+    else:
+        gold["terms"] = {"farm 2": "2/7", "farm 1": "50"}
+    with pytest.raises(ValidationError) as err:
+        ingest.gold_to_declarations([BERRY_GOLD_RECORDS[0], gold])
+    assert err.value.field == "gold[1]"
+    record = ingest.problem_to_record(berry_problem())
+    record["gold"] = [BERRY_GOLD_RECORDS[0], gold]
+    write_jsonl(tmp_path / "d.jsonl", [record])
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert err.value.line == 1
+    assert "no terminating decimal expansion" in str(err.value)
+
+
+def test_gold_numbers_that_load_also_save(tmp_path):
+    gold = dict(BERRY_GOLD_RECORDS[1], limit=1e-05,
+                terms={"farm 2": "0.375", "farm 1": 0.5})
+    record = ingest.problem_to_record(berry_problem())
+    record["gold"] = [BERRY_GOLD_RECORDS[0], gold]
+    write_jsonl(tmp_path / "d.jsonl", [record])
+    (loaded,) = ingest.load_dataset(tmp_path / "d.jsonl")
+    assert loaded.gold[1].limit == Fraction(1, 100000)
+    assert loaded.gold[1].terms == {"farm 2": Fraction(3, 8), "farm 1": Fraction(1, 2)}
+    ingest.save_dataset([loaded], tmp_path / "saved.jsonl")
+    assert ingest.load_dataset(tmp_path / "saved.jsonl") == [loaded]
 
 
 def test_gold_to_declarations_unknown_type():
