@@ -60,17 +60,19 @@ def _terms_to_vector(terms, mapping: OrderMapping) -> list:
 def canonicalize_declaration(decl, mapping: OrderMapping):
     """Canonicalize a single declaration.
 
-    Returns ``("objective", c)`` or ``("constraint", (row, limit))``.
+    Returns ``(kind, vector)``: ``c`` for an objective, or the row with its
+    limit appended for a constraint, sign-inverted for a maximize objective
+    or a ``>=`` constraint.
     """
     vector = _terms_to_vector(decl.terms, mapping)
     if decl.kind == ir.OBJECTIVE:
-        sign = _objective_sign(decl.direction_text)
-        return ir.OBJECTIVE, [sign * v for v in vector]
-    if all(v == 0 for v in vector):
-        raise StructureError("constraint row has no nonzero entry")
-    if decl.operator == ir.GREATER_OR_EQUAL:
-        return ir.CONSTRAINT, ([-v for v in vector], -decl.limit)
-    return ir.CONSTRAINT, (vector, Fraction(decl.limit))
+        invert = _objective_sign(decl.direction_text) == -1
+    else:
+        if all(v == 0 for v in vector):
+            raise StructureError("constraint row has no nonzero entry")
+        vector.append(Fraction(decl.limit))
+        invert = decl.operator == ir.GREATER_OR_EQUAL
+    return decl.kind, [-v for v in vector] if invert else vector
 
 
 def canonicalize(decls, mapping: OrderMapping) -> CanonicalFormulation:
@@ -80,23 +82,28 @@ def canonicalize(decls, mapping: OrderMapping) -> CanonicalFormulation:
         raise StructureError(
             f"expected exactly one objective, found {len(objectives)}"
         )
-    objective_vec = None
-    rows = []
-    limits = []
-    for decl in decls:
-        kind, payload = canonicalize_declaration(decl, mapping)
-        if kind == ir.OBJECTIVE:
-            objective_vec = payload
-        else:
-            row, limit = payload
-            rows.append(row)
-            limits.append(limit)
+    forms = [canonicalize_declaration(d, mapping) for d in decls]
+    rows = [v for kind, v in forms if kind == ir.CONSTRAINT]
     return CanonicalFormulation(
         n_vars=mapping.n_vars,
-        objective=objective_vec,
-        constraints=rows,
-        limits=limits,
+        objective=next(v for kind, v in forms if kind == ir.OBJECTIVE),
+        constraints=[row[:-1] for row in rows],
+        limits=[row[-1] for row in rows],
     )
+
+
+def check_tolerance(tol) -> Fraction:
+    """Return ``tol`` as an exact rational; it must be non-negative."""
+    tol = Fraction(tol)
+    if tol < 0:
+        raise ValueError("tolerance must be non-negative")
+    return tol
+
+
+def forms_equal(a, b, tol: Fraction) -> bool:
+    """Whether two canonical forms have one kind and entries within ``tol``."""
+    (kind_a, va), (kind_b, vb) = a, b
+    return kind_a == kind_b and all(abs(x - y) <= tol for x, y in zip(va, vb))
 
 
 def declarations_equal(a, b, mapping: OrderMapping, tol=DEFAULT_TOLERANCE) -> bool:
@@ -106,17 +113,9 @@ def declarations_equal(a, b, mapping: OrderMapping, tol=DEFAULT_TOLERANCE) -> bo
     """
     if a.kind != b.kind:
         return False
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
-    kind_a, pa = canonicalize_declaration(a, mapping)
-    _, pb = canonicalize_declaration(b, mapping)
-    if kind_a == ir.OBJECTIVE:
-        va, vb = pa, pb
-    else:
-        va = pa[0] + [pa[1]]
-        vb = pb[0] + [pb[1]]
-    return all(abs(x - y) <= tol for x, y in zip(va, vb))
+    tol = check_tolerance(tol)
+    return forms_equal(canonicalize_declaration(a, mapping),
+                       canonicalize_declaration(b, mapping), tol)
 
 
 def render_algebraic(decls, mapping: OrderMapping) -> str:

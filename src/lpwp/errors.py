@@ -9,15 +9,20 @@ class ValidationError(ToolkitError):
     """Input data violates a schema or structural invariant."""
 
     def __init__(self, message, *, line=None, field=None):
+        super().__init__(message)
+        self.message = message
         self.line = line
         self.field = field
+
+    def __str__(self):
+        # Built on demand, so a line set after construction shows too.
         parts = []
-        if line is not None:
-            parts.append(f"line {line}")
-        if field is not None:
-            parts.append(f"field {field}")
+        if self.line is not None:
+            parts.append(f"line {self.line}")
+        if self.field is not None:
+            parts.append(f"field {self.field}")
         prefix = f"[{', '.join(parts)}] " if parts else ""
-        super().__init__(prefix + message)
+        return prefix + self.message
 
 
 class UnsupportedDeclarationError(ValidationError):

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import ir
 from .errors import MappingError, UnsupportedDeclarationError, ValidationError
-from .numbers import decimal_places, format_number
+from .numbers import format_number, json_number
 
 logger = logging.getLogger(__name__)
 
@@ -144,14 +144,6 @@ class Problem:
                     self.order_mapping.resolve(var)
 
 
-def _gold_number(value) -> Fraction:
-    number = Fraction(str(value))
-    if decimal_places(number) is None:
-        # save_dataset could not write it back.
-        raise ValueError(f"{value!r} has no terminating decimal expansion")
-    return number
-
-
 def gold_to_declarations(records) -> list:
     """Convert raw objective/constraint records into declarations.
 
@@ -171,8 +163,8 @@ def gold_to_declarations(records) -> list:
                 ))
             elif rtype == "linear":
                 decls.append(ir.constraint(
-                    rec["direction"], rec["operator"], _gold_number(rec["limit"]),
-                    {v: _gold_number(c) for v, c in rec["terms"].items()},
+                    rec["direction"], rec["operator"], json_number(rec["limit"]),
+                    {v: json_number(c) for v, c in rec["terms"].items()},
                 ))
             else:
                 raise UnsupportedDeclarationError(rtype, field=f"gold[{i}]")
@@ -231,7 +223,10 @@ def problem_from_record(record, line=None) -> Problem:
     except KeyError as missing:
         raise ValidationError(f"missing required field {missing}", line=line)
     except ValidationError as err:
-        raise ValidationError(str(err), line=line)
+        err.line = line
+        raise
+    except MappingError as err:
+        raise ValidationError(str(err), line=line, field="gold") from err
 
 
 def problem_to_record(problem: Problem) -> dict:

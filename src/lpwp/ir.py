@@ -251,25 +251,23 @@ def parse_declarations(ir: str, mode: str = "strict"):
     tokens = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(ir)]
     stream = _TokenStream(ir, tokens)
     decls = []
+
+    def fail(message, position):
+        error = IrParseError(message, position)
+        if mode == "strict":
+            raise error
+        stream.diagnostics.append(str(error))
+
     while True:
         # Skip to the next declaration, flagging stray text/tokens on the way.
         while stream.peek() is not None and stream.peek() != "<DECLARATION>":
-            msg = f"char {stream.here()}: stray token {stream.peek()!r}"
-            if mode == "strict":
-                raise IrParseError(f"stray token {stream.peek()!r}", stream.here())
-            stream.diagnostics.append(msg)
+            fail(f"stray token {stream.peek()!r}", stream.here())
             stream.pos += 1
         if stream.peek() is None:
             tail_start = stream.tokens[-1][2] if stream.tokens else 0
             tail = ir[tail_start:]
             if tail.strip():
-                if mode == "strict":
-                    raise IrParseError(
-                        f"stray text {tail.strip()!r}", tail_start
-                    )
-                stream.diagnostics.append(
-                    f"char {tail_start}: stray text {tail.strip()!r}"
-                )
+                fail(f"stray text {tail.strip()!r}", tail_start)
             break
         try:
             decls.append(_parse_one_declaration(stream))
@@ -277,8 +275,6 @@ def parse_declarations(ir: str, mode: str = "strict"):
             message = failure.message
             if stream.peek() is None:
                 message = f"unterminated declaration ({message})"
-            if mode == "strict":
-                raise IrParseError(message, failure.position)
-            stream.diagnostics.append(f"char {failure.position}: {message}")
+            fail(message, failure.position)
             _resync(stream)
     return decls, stream.diagnostics

@@ -5,16 +5,21 @@ Accuracy over a corpus of N examples:
     accuracy = 1 - (sum_i FP_i + FN_i) / (sum_i D_i)
 
 where D_i counts ground-truth declarations, FP_i non-matched predictions and
-FN_i unmatched ground-truth declarations. Matching is one-to-one under
-canonical equality; since that equality is an equivalence relation, greedy
-multiset intersection realizes the maximum matching.
+FN_i unmatched ground-truth declarations. Matching is a maximum one-to-one
+matching under canonical equality within a tolerance, found with augmenting
+paths: at a positive tolerance that equality is not transitive, so greedy
+matching could miss pairs. A predicted declaration with no canonical form
+(an unknown variable, a direction neither min nor max, an all-zero row)
+matches nothing and counts as one FP.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .canonical import DEFAULT_TOLERANCE, declarations_equal
-from .errors import ValidationError
+from .canonical import (
+    DEFAULT_TOLERANCE, canonicalize_declaration, check_tolerance, forms_equal,
+)
+from .errors import MappingError, StructureError, ValidationError
 
 
 @dataclass
@@ -52,27 +57,38 @@ class F1Report:
     f1: float
 
     def as_json_dict(self) -> dict:
-        return {
-            "true_positives": self.true_positives,
-            "false_positives": self.false_positives,
-            "false_negatives": self.false_negatives,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 def _match_count(pred, gold, mapping, tol) -> int:
-    """Size of a maximum one-to-one matching under canonical equality."""
-    unmatched = list(gold)
-    matched = 0
+    """Size of a maximum one-to-one matching under canonical equality.
+
+    Each declaration is canonicalized once; the matching is grown one
+    prediction at a time along augmenting paths (Kuhn's algorithm).
+    """
+    gold_forms = [canonicalize_declaration(g, mapping) for g in gold]
+    edges = []  # per prediction, the indices of the gold it may match
     for p in pred:
-        for i, g in enumerate(unmatched):
-            if declarations_equal(p, g, mapping, tol):
-                del unmatched[i]
-                matched += 1
-                break
-    return matched
+        try:
+            form = canonicalize_declaration(p, mapping)
+        except (MappingError, StructureError):
+            edges.append([])
+            continue
+        edges.append(
+            [j for j, g in enumerate(gold_forms) if forms_equal(form, g, tol)]
+        )
+    owner = [None] * len(gold)  # gold index -> matched prediction index
+
+    def augment(i, visited):
+        for j in edges[i]:
+            if j not in visited:
+                visited.add(j)
+                if owner[j] is None or augment(owner[j], visited):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(len(pred)))
 
 
 def score_accuracy(gold, pred, mappings, tol=DEFAULT_TOLERANCE) -> ScoreReport:
@@ -86,6 +102,7 @@ def score_accuracy(gold, pred, mappings, tol=DEFAULT_TOLERANCE) -> ScoreReport:
         raise ValidationError(
             f"prediction ids not present in gold: {sorted(unknown)}"
         )
+    tol = check_tolerance(tol)
     per_example = []
     total_d = total_errors = 0
     for example_id, gold_decls in gold.items():

@@ -18,6 +18,14 @@ def parse_number(token: str) -> Fraction:
     return Fraction(token)
 
 
+def json_number(value) -> Fraction:
+    """Exact rational of a JSON number or string; must terminate as a decimal."""
+    number = Fraction(str(value))
+    if decimal_places(number) is None:
+        raise ValueError(f"{value!r} has no terminating decimal expansion")
+    return number
+
+
 def decimal_places(value: Fraction):
     """Digits after the point in the decimal expansion of ``value``.
 

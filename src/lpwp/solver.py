@@ -12,7 +12,7 @@ import numpy as np
 
 from .canonical import CanonicalFormulation
 from .errors import StructureError
-from .numbers import parse_number
+from .numbers import json_number
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -40,12 +40,12 @@ def formulation_from_json_dict(data: dict) -> CanonicalFormulation:
     try:
         return CanonicalFormulation(
             n_vars=int(data["n_vars"]),
-            objective=[parse_number(str(v)) for v in data["objective"]],
+            objective=[json_number(v) for v in data["objective"]],
             constraints=[
-                [parse_number(str(v)) for v in row]
+                [json_number(v) for v in row]
                 for row in data["constraints"]
             ],
-            limits=[parse_number(str(v)) for v in data["limits"]],
+            limits=[json_number(v) for v in data["limits"]],
         )
     except KeyError as missing:
         raise StructureError(f"formulation JSON missing field {missing}")

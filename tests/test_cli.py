@@ -152,6 +152,22 @@ def test_solve(runner, tmp_path):
     assert abs(solution["objective_value"] - 600 / 11) < 1e-6
 
 
+def test_solve_accepts_number_literals(runner, tmp_path):
+    payload = {
+        "n_vars": 1,
+        "objective": [1e-05],
+        "constraints": [[-1]],
+        "limits": [-2.5],
+    }
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["solve", "--in", str(path)])
+    assert result.exit_code == 0, result.output
+    solution = json.loads(result.stdout)
+    assert solution["status"] == "optimal"
+    assert solution["x"] == [2.5]
+
+
 def test_validation_error_exits_one(runner, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")

@@ -187,6 +187,28 @@ def test_gold_to_declarations_missing_field():
         ingest.gold_to_declarations([{"type": "objvar", "direction": "minimize"}])
 
 
+def test_load_keeps_error_class_and_field(tmp_path):
+    record = ingest.problem_to_record(berry_problem())
+    record["gold"] = [BERRY_GOLD_RECORDS[0], {"type": "ratio"}]
+    write_jsonl(tmp_path / "d.jsonl", [record])
+    with pytest.raises(UnsupportedDeclarationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert (err.value.line, err.value.field) == (1, "gold[1]")
+    assert str(err.value) == (
+        "[line 1, field gold[1]] unsupported declaration type: 'ratio'"
+    )
+
+
+def test_load_rejects_gold_variable_missing_from_mapping(tmp_path):
+    record = ingest.problem_to_record(berry_problem())
+    record["gold"] = [dict(BERRY_GOLD_RECORDS[0], vars=["farm 9"])]
+    write_jsonl(tmp_path / "d.jsonl", [record])
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert err.value.line == 1
+    assert "farm 9" in str(err.value)
+
+
 def test_gold_declaration_variables_must_resolve():
     with pytest.raises(MappingError):
         Problem(

@@ -83,6 +83,42 @@ def test_missing_prediction_counts_as_empty():
     assert report.accuracy == 0.0
 
 
+def test_matching_is_maximum_when_tolerance_is_not_transitive():
+    # Greedy pairs 0.5 with 1 and leaves 1.4 and 0 apart; 0.5-0, 1.4-1 is
+    # a perfect matching.
+    mapping = OrderMapping({"x": 0})
+
+    def side(*limits):
+        return [
+            ir.constraint("at most", ir.LESS_OR_EQUAL, Fraction(k),
+                          {"x": Fraction(1)})
+            for k in limits
+        ]
+
+    report = score_accuracy(
+        {"e": side(1, 0)}, {"e": side("0.5", "1.4")}, {"e": mapping},
+        tol=Fraction("0.51"),
+    )
+    example = report.per_example[0]
+    assert (example.fp, example.fn) == (0, 0)
+
+
+@pytest.mark.parametrize("bad", [
+    ir.constraint("at most", ir.LESS_OR_EQUAL, 1, {"zz": Fraction(1)}),
+    ir.objective("reduce", "cost", {"x": Fraction(1)}),
+    ir.constraint("at most", ir.LESS_OR_EQUAL, 1, {"x": Fraction(0)}),
+], ids=["unknown_variable", "direction_reduce", "all_zero_row"])
+def test_prediction_without_canonical_form_counts_as_one_fp(bad):
+    mapping = OrderMapping({"x": 0})
+    obj = ir.objective("minimize", "cost", {"x": Fraction(1)})
+    con = ir.constraint("at least", ir.GREATER_OR_EQUAL, 2, {"x": Fraction(1)})
+    report = score_accuracy(
+        {"e": [obj, con]}, {"e": [bad, obj, con]}, {"e": mapping}
+    )
+    example = report.per_example[0]
+    assert (example.d, example.fp, example.fn) == (2, 1, 0)
+
+
 def random_side(rng, var_names, mapping, max_len=6, min_len=0):
     # Small coefficient pool so that equal declarations actually occur.
     def decl():
@@ -98,16 +134,18 @@ def random_side(rng, var_names, mapping, max_len=6, min_len=0):
     return [decl() for _ in range(rng.randint(min_len, max_len))]
 
 
-def test_oracle_equivalence_on_random_instances():
+# At tol=1 the 1..3 coefficient pool makes within-tol equality non-transitive.
+@pytest.mark.parametrize("tol", [Fraction(1, 10**9), 1])
+def test_oracle_equivalence_on_random_instances(tol):
     rng = random.Random(20240813)
     var_names = ["a 0", "b 1"]
     mapping = OrderMapping({name: i for i, name in enumerate(var_names)})
     for _ in range(500):
         gold = random_side(rng, var_names, mapping, min_len=1)
         pred = random_side(rng, var_names, mapping)
-        report = score_accuracy({"e": gold}, {"e": pred}, {"e": mapping})
+        report = score_accuracy({"e": gold}, {"e": pred}, {"e": mapping}, tol)
         example = report.per_example[0]
-        matched = oracle_max_matching(pred, gold, mapping)
+        matched = oracle_max_matching(pred, gold, mapping, tol)
         assert example.fp == len(pred) - matched
         assert example.fn == len(gold) - matched
 
