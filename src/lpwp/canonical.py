@@ -50,10 +50,18 @@ def _objective_sign(direction_text: str) -> int:
     )
 
 
+_ZERO = Fraction(0)
+
+
 def _terms_to_vector(terms, mapping: OrderMapping) -> list:
-    vector = [Fraction(0)] * mapping.n_vars
+    vector = [_ZERO] * mapping.n_vars
     for var, coeff in terms.items():
-        vector[mapping.resolve(var)] += Fraction(coeff)
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        column = mapping.resolve(var)
+        # A column's first term is stored as is; later spellings of the
+        # same variable add to it.
+        vector[column] = coeff if vector[column] is _ZERO else vector[column] + coeff
     return vector
 
 

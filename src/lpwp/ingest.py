@@ -99,7 +99,11 @@ class OrderMapping:
 
     def resolve(self, name: str) -> int:
         """Map a (possibly sloppily spaced) variable name to its column."""
-        index = self._index.get(normalize_name(name))
+        # An exact key needs no normalization: keys that collide after
+        # normalization are rejected, so both lookups give the same column.
+        index = self.entries.get(name)
+        if index is None:
+            index = self._index.get(normalize_name(name))
         if index is not None:
             return index
         known = ", ".join(sorted(self.entries))

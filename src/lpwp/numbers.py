@@ -7,22 +7,44 @@ exact; floats only appear at the solver boundary.
 import re
 from fractions import Fraction
 
-_DECIMAL_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
+# A sign, then digits with an optional point and fraction, or a point and at
+# least one digit: "+4", "-0.50", "5.", ".5". The lookahead demands a digit,
+# so "." and "" do not match.
+_DECIMAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?")
+
+
+def _read_decimal(text: str):
+    """Exact rational of a plain decimal literal, or None if ``text`` is not one."""
+    match = _DECIMAL_RE.fullmatch(text)
+    if match is None:
+        return None
+    sign, whole, fraction = match.groups()
+    if not fraction:
+        return Fraction(int(sign + (whole or "0")))
+    return Fraction(int(sign + whole + fraction), 10 ** len(fraction))
 
 
 def parse_number(token: str) -> Fraction:
     """Parse a plain decimal literal into an exact rational."""
     token = token.strip()
-    if not _DECIMAL_RE.fullmatch(token):
+    number = _read_decimal(token)
+    if number is None:
         raise ValueError(f"not a decimal number: {token!r}")
-    return Fraction(token)
+    return number
 
 
 def json_number(value) -> Fraction:
-    """Exact rational of a JSON number or string; must terminate as a decimal."""
-    number = Fraction(str(value))
-    if decimal_places(number) is None:
-        raise ValueError(f"{value!r} has no terminating decimal expansion")
+    """Exact rational of a JSON number or string; must terminate as a decimal.
+
+    Plain decimals are read directly; anything else (``1e-05``, ``"1/2"``)
+    goes through ``Fraction(str(value))``.
+    """
+    text = str(value)
+    number = _read_decimal(text)
+    if number is None:
+        number = Fraction(text)
+        if decimal_places(number) is None:
+            raise ValueError(f"{value!r} has no terminating decimal expansion")
     return number
 
 

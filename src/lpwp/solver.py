@@ -1,10 +1,15 @@
 """Two-phase dense simplex for desk-scale canonical programs.
 
 Solves: minimize c'x subject to Ax <= b, x >= 0. Bland's rule is used for
-pivot selection, so the method cannot cycle. Instances are tiny (n, m up to
-100); robustness is preferred over speed throughout.
+pivot selection, so the method cannot cycle: the entering column is the
+smallest index with a reduced cost below -eps, and the leaving row has the
+smallest ratio, ties within eps going to the smaller basic index. Each pivot
+is one rank-1 update of the rows with a nonzero pivot-column entry, which
+does the same float operations as a row-by-row elimination. ``eps`` must be
+finite and non-negative. Instances are desk scale (n, m up to 100).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,16 +41,32 @@ class LpSolution:
         return out
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise StructureError(
+            f"formulation JSON {what} must be a list, got {type(value).__name__}"
+        )
+    return value
+
+
 def formulation_from_json_dict(data: dict) -> CanonicalFormulation:
+    if not isinstance(data, dict):
+        raise StructureError(
+            f"formulation JSON must be an object, got {type(data).__name__}"
+        )
     try:
         return CanonicalFormulation(
             n_vars=int(data["n_vars"]),
-            objective=[json_number(v) for v in data["objective"]],
-            constraints=[
-                [json_number(v) for v in row]
-                for row in data["constraints"]
+            objective=[
+                json_number(v) for v in _json_list(data["objective"], "objective")
             ],
-            limits=[json_number(v) for v in data["limits"]],
+            constraints=[
+                [json_number(v) for v in _json_list(row, f"constraint row {i}")]
+                for i, row in enumerate(
+                    _json_list(data["constraints"], "constraints")
+                )
+            ],
+            limits=[json_number(v) for v in _json_list(data["limits"], "limits")],
         )
     except KeyError as missing:
         raise StructureError(f"formulation JSON missing field {missing}")
@@ -53,15 +74,18 @@ def formulation_from_json_dict(data: dict) -> CanonicalFormulation:
 
 def _pivot(tableau, basis, row, col):
     tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    # One rank-1 update of the rows with a nonzero pivot-column entry. Rows
+    # with a zero entry are skipped, not updated by a zero multiple, so that
+    # their entries (-0.0 included) keep every bit.
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    rows = np.nonzero(factors)[0]
+    tableau[rows] -= np.outer(factors[rows], tableau[row])
     basis[row] = col
 
 
 def _run_simplex(tableau, basis, costs, eps):
     """Minimize over the tableau in place; returns 'optimal' or 'unbounded'."""
-    m = tableau.shape[0]
     while True:
         reduced = costs - costs[basis] @ tableau[:, :-1]
         reduced[basis] = 0.0
@@ -69,25 +93,33 @@ def _run_simplex(tableau, basis, costs, eps):
         if candidates.size == 0:
             return OPTIMAL
         col = int(candidates[0])  # Bland: smallest eligible index
-        best_ratio = None
-        row = -1
-        for i in range(m):
-            if tableau[i, col] > eps:
-                ratio = tableau[i, -1] / tableau[i, col]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - eps
-                    or (abs(ratio - best_ratio) <= eps and basis[i] < basis[row])
-                ):
-                    best_ratio = ratio
-                    row = i
-        if row < 0:
+        eligible = np.nonzero(tableau[:, col] > eps)[0]
+        if eligible.size == 0:
             return UNBOUNDED
+        rows = eligible.tolist()
+        ratios = (tableau[eligible, -1] / tableau[eligible, col]).tolist()
+        # The tie-break is sequential: a ratio within eps of the running best
+        # replaces it only if its basic variable has a smaller index. A
+        # min-then-argmin over the ratios would not choose the same row.
+        row, best_ratio = rows[0], ratios[0]
+        for i, ratio in zip(rows[1:], ratios[1:]):
+            if ratio < best_ratio - eps or (
+                abs(ratio - best_ratio) <= eps and basis[i] < basis[row]
+            ):
+                best_ratio = ratio
+                row = i
         _pivot(tableau, basis, row, col)
 
 
 def solve_lp(formulation: CanonicalFormulation, eps: float = DEFAULT_EPS) -> LpSolution:
-    """Solve a canonical program; optimal solutions are vertex solutions."""
+    """Solve a canonical program; optimal solutions are vertex solutions.
+
+    ``eps`` must be finite and non-negative: a negative one lets the simplex
+    pivot forever, and NaN fails every comparison, so the first basis would
+    be reported optimal.
+    """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     n = formulation.n_vars
     m = len(formulation.constraints)
     if len(formulation.objective) != n:

@@ -77,6 +77,31 @@ def test_all_zero_constraint_row_rejected():
         canonicalize(decls, OrderMapping({"x": 0}))
 
 
+def test_spellings_of_one_column_add_up():
+    mapping = OrderMapping({"farm 1": 0, "farm 2": 1})
+    decl = ir.objective("minimize", "cost", {"farm 1": 2, " Farm  1 ": "0.5"})
+    assert canonical.canonicalize_declaration(decl, mapping) == (
+        ir.OBJECTIVE, [Fraction(5, 2), 0]
+    )
+
+
+@pytest.mark.parametrize("coeff", [3, -2, "0.25", "-1.5", 0.1, Fraction(7, 4)])
+def test_coefficient_types_canonicalize_to_exact_fractions(coeff):
+    decl = ir.objective("minimize", "cost", {"x": coeff})
+    _, vector = canonical.canonicalize_declaration(decl, OrderMapping({"x": 0}))
+    assert vector == [Fraction(coeff)]
+    assert type(vector[0]) is Fraction
+
+
+def test_spellings_that_cancel_leave_an_all_zero_row():
+    decls = [
+        ir.objective("minimize", "n", {"x": Fraction(1)}),
+        ir.constraint("at most", ir.LESS_OR_EQUAL, 1, {"x": 2, " X ": "-2"}),
+    ]
+    with pytest.raises(StructureError):
+        canonicalize(decls, OrderMapping({"x": 0}))
+
+
 def test_ge_and_negated_le_are_canonically_equal():
     mapping = OrderMapping({"farm1": 0, "farm2": 1})
     ge = ir.constraint("at least", ir.GREATER_OR_EQUAL, 3000,

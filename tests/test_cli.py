@@ -168,6 +168,37 @@ def test_solve_accepts_number_literals(runner, tmp_path):
     assert solution["x"] == [2.5]
 
 
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    {"n_vars": 1, "objective": 5, "constraints": [], "limits": []},
+    {"n_vars": 1, "objective": [1], "constraints": {"0": [1]}, "limits": [1]},
+    {"n_vars": 1, "objective": [1], "constraints": [5], "limits": [1]},
+    {"n_vars": 1, "objective": [1], "constraints": [[1]], "limits": 1},
+])
+def test_solve_rejects_malformed_formulation_json(runner, tmp_path, payload):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["solve", "--in", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "error: formulation JSON" in result.output
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan"])
+def test_solve_rejects_bad_eps(runner, tmp_path, eps):
+    payload = {
+        "n_vars": 2,
+        "objective": ["1", "1"],
+        "constraints": [["-50", "-70"], ["-300", "-200"]],
+        "limits": ["-3000", "-15000"],
+    }
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["solve", "--in", str(path), "--eps", eps])
+    assert result.exit_code == 1
+    assert "error: eps must be finite and non-negative" in result.output
+
+
 def test_validation_error_exits_one(runner, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")

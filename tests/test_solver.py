@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lpwp import solver
 from lpwp.canonical import CanonicalFormulation, canonicalize
 from lpwp.errors import StructureError
 from lpwp.solver import solve_lp
@@ -143,3 +144,97 @@ def test_desk_scale_limit_enforced():
     n = 101
     with pytest.raises(StructureError):
         solve_lp(form([1] * n, [], []))
+
+
+@pytest.mark.parametrize("eps", [-1.0, -1e-12, float("nan"), float("inf"), float("-inf")])
+def test_eps_must_be_finite_and_non_negative(eps):
+    problem = berry_problem()
+    formulation = canonicalize(problem.gold, problem.order_mapping)
+    with pytest.raises(ValueError, match="eps"):
+        solve_lp(formulation, eps)
+
+
+def test_zero_eps_is_accepted():
+    problem = berry_problem()
+    solution = solve_lp(canonicalize(problem.gold, problem.order_mapping), 0.0)
+    assert solution.status == "optimal"
+    assert solution.objective_value == pytest.approx(600 / 11, abs=1e-6)
+
+
+# Row-by-row pivot and ratio test, kept as the reference for the vectorized
+# ones: both must do the same float operations.
+def reference_pivot(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    for i in range(tableau.shape[0]):
+        if i != row and tableau[i, col] != 0.0:
+            tableau[i] -= tableau[i, col] * tableau[row]
+    basis[row] = col
+
+
+def reference_run_simplex(tableau, basis, costs, eps):
+    m = tableau.shape[0]
+    while True:
+        reduced = costs - costs[basis] @ tableau[:, :-1]
+        reduced[basis] = 0.0
+        candidates = np.nonzero(reduced < -eps)[0]
+        if candidates.size == 0:
+            return solver.OPTIMAL
+        col = int(candidates[0])
+        best_ratio = None
+        row = -1
+        for i in range(m):
+            if tableau[i, col] > eps:
+                ratio = tableau[i, -1] / tableau[i, col]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio - eps
+                    or (abs(ratio - best_ratio) <= eps and basis[i] < basis[row])
+                ):
+                    best_ratio = ratio
+                    row = i
+        if row < 0:
+            return solver.UNBOUNDED
+        reference_pivot(tableau, basis, row, col)
+
+
+def test_pivot_matches_row_by_row_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        m, width = rng.integers(1, 8), rng.integers(2, 10)
+        tableau = rng.integers(-3, 4, size=(m, width)).astype(float)
+        tableau[rng.random((m, width)) < 0.2] = -0.0
+        tableau *= rng.choice([1.0, 0.1, 1 / 3], size=(m, width))
+        row = int(rng.integers(m))
+        col = int(rng.integers(width - 1))
+        tableau[row, col] = float(rng.choice([-3.0, 0.7, 2.0]))
+        expected, got = tableau.copy(), tableau.copy()
+        basis_expected, basis_got = list(range(m)), list(range(m))
+        reference_pivot(expected, basis_expected, row, col)
+        solver._pivot(got, basis_got, row, col)
+        assert expected.tobytes() == got.tobytes()
+        assert basis_expected == basis_got
+
+
+def test_simplex_matches_row_by_row_reference_bit_for_bit():
+    # Small integer data and zero limits make ratio ties and degenerate
+    # pivots common, so the sequential Bland tie-break decides many pivots.
+    rng = random.Random(404)
+    statuses = set()
+    for _ in range(300):
+        n, m = rng.randint(2, 8), rng.randint(2, 8)
+        a = [[rng.choice([-2, -1, 0, 0, 1, 2, 0.5]) for _ in range(n)]
+             for _ in range(m)]
+        b = [rng.choice([0, 0, 1, 2, 3]) for _ in range(m)]
+        tableau = np.hstack([np.array(a, dtype=float), np.eye(m),
+                             np.array(b, dtype=float)[:, None]])
+        costs = np.array([rng.randint(-3, 3) for _ in range(n)] + [0] * m,
+                         dtype=float)
+        expected, got = tableau.copy(), tableau.copy()
+        basis_expected = [n + i for i in range(m)]
+        basis_got = basis_expected[:]
+        status = reference_run_simplex(expected, basis_expected, costs, 1e-7)
+        assert solver._run_simplex(got, basis_got, costs, 1e-7) == status
+        assert basis_got == basis_expected
+        assert got.tobytes() == expected.tobytes()
+        statuses.add(status)
+    assert statuses == {solver.OPTIMAL, solver.UNBOUNDED}
