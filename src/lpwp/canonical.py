@@ -55,10 +55,13 @@ _ZERO = Fraction(0)
 
 def _terms_to_vector(terms, mapping: OrderMapping) -> list:
     vector = [_ZERO] * mapping.n_vars
+    entries = mapping.entries
     for var, coeff in terms.items():
         if type(coeff) is not Fraction:
             coeff = Fraction(coeff)
-        column = mapping.resolve(var)
+        column = entries.get(var)
+        if column is None:  # another spelling of a key, or unknown
+            column = mapping.resolve(var)
         # A column's first term is stored as is; later spellings of the
         # same variable add to it.
         vector[column] = coeff if vector[column] is _ZERO else vector[column] + coeff
@@ -78,7 +81,8 @@ def canonicalize_declaration(decl, mapping: OrderMapping):
     else:
         if all(v == 0 for v in vector):
             raise StructureError("constraint row has no nonzero entry")
-        vector.append(Fraction(decl.limit))
+        limit = decl.limit
+        vector.append(limit if type(limit) is Fraction else Fraction(limit))
         invert = decl.operator == ir.GREATER_OR_EQUAL
     return decl.kind, [-v for v in vector] if invert else vector
 

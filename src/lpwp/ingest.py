@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import ir
 from .errors import MappingError, UnsupportedDeclarationError, ValidationError
-from .numbers import format_number, json_number
+from .numbers import JsonNumbers, format_number
 
 logger = logging.getLogger(__name__)
 
@@ -73,15 +73,16 @@ class OrderMapping:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        indices = sorted(self.entries.values())
-        if indices != list(range(len(indices))):
-            raise ValidationError(
-                f"order mapping indices {indices} are not a bijection onto "
-                f"0..{len(indices) - 1}",
-                field="order_mapping",
-            )
         index = {}
         for key, column in self.entries.items():
+            # bool is an int subclass, and a float index would load here
+            # only to fail as a list index later.
+            if type(column) is not int:
+                raise ValidationError(
+                    f"order mapping index {column!r} of {key!r} is not an "
+                    f"integer",
+                    field="order_mapping",
+                )
             name = normalize_name(key)
             if name in index:
                 first = next(k for k in self.entries if normalize_name(k) == name)
@@ -91,6 +92,13 @@ class OrderMapping:
                     field="order_mapping",
                 )
             index[name] = column
+        indices = sorted(self.entries.values())
+        if indices != list(range(len(indices))):
+            raise ValidationError(
+                f"order mapping indices {indices} are not a bijection onto "
+                f"0..{len(indices) - 1}",
+                field="order_mapping",
+            )
         object.__setattr__(self, "_index", index)
 
     @property
@@ -143,9 +151,22 @@ class Problem:
                     "mapping", self.id, name,
                 )
         if self.gold is not None:
+            entries = self.order_mapping.entries
             for decl in self.gold:
-                for var in decl.terms:
-                    self.order_mapping.resolve(var)
+                # Exact keys need no resolving; only other spellings do,
+                # and they keep resolve's error message.
+                if not decl.terms.keys() <= entries.keys():
+                    for var in decl.terms:
+                        self.order_mapping.resolve(var)
+
+
+def _wrong_type(value, expected, field):
+    return ValidationError(
+        f"expected {expected}, got {type(value).__name__}", field=field
+    )
+
+
+_ONE = Fraction(1)
 
 
 def gold_to_declarations(records) -> list:
@@ -153,6 +174,10 @@ def gold_to_declarations(records) -> list:
 
     Limits and coefficients must have a terminating decimal expansion.
     """
+    return _gold_to_declarations(records, JsonNumbers())
+
+
+def _gold_to_declarations(records, numbers: JsonNumbers) -> list:
     decls = []
     for i, rec in enumerate(records):
         try:
@@ -161,14 +186,23 @@ def gold_to_declarations(records) -> list:
             raise ValidationError("record has no 'type'", field=f"gold[{i}]")
         try:
             if rtype == "objvar":
+                names = rec["vars"]
+                if not isinstance(names, list):
+                    raise _wrong_type(names, "a list", f"gold[{i}].vars")
+                if not all(type(v) is str for v in names):
+                    raise ValidationError(
+                        "variable names must be strings", field=f"gold[{i}].vars"
+                    )
                 decls.append(ir.objective(
-                    rec["direction"], rec["name"],
-                    {v: Fraction(1) for v in rec["vars"]},
+                    rec["direction"], rec["name"], {v: _ONE for v in names},
                 ))
             elif rtype == "linear":
+                terms = rec["terms"]
+                if not isinstance(terms, dict):
+                    raise _wrong_type(terms, "an object", f"gold[{i}].terms")
                 decls.append(ir.constraint(
-                    rec["direction"], rec["operator"], json_number(rec["limit"]),
-                    {v: json_number(c) for v, c in rec["terms"].items()},
+                    rec["direction"], rec["operator"], numbers[str(rec["limit"])],
+                    {v: numbers[str(c)] for v, c in terms.items()},
                 ))
             else:
                 raise UnsupportedDeclarationError(rtype, field=f"gold[{i}]")
@@ -207,14 +241,27 @@ def declarations_to_gold(decls) -> list:
     return records
 
 
-def problem_from_record(record, line=None) -> Problem:
+def problem_from_record(record, numbers: JsonNumbers, line=None) -> Problem:
+    """Build a problem from one JSON record, reading gold through ``numbers``."""
     try:
-        spans = [
-            EntitySpan(s["start"], s["end"], s["label"])
-            for s in record["spans"]
-        ]
-        mapping = OrderMapping(dict(record["order_mapping"]))
+        if not isinstance(record, dict):
+            raise _wrong_type(record, "an object", None)
+        raw_spans = record["spans"]
+        if not isinstance(raw_spans, list):
+            raise _wrong_type(raw_spans, "a list", "spans")
+        try:
+            spans = [EntitySpan(s["start"], s["end"], s["label"]) for s in raw_spans]
+        except TypeError:  # a span that is not an object
+            raise ValidationError(
+                "each span must be an object", field="spans"
+            ) from None
+        entries = record["order_mapping"]
+        if not isinstance(entries, dict):
+            raise _wrong_type(entries, "an object", "order_mapping")
+        mapping = OrderMapping(dict(entries))
         gold = record.get("gold")
+        if not (gold is None or isinstance(gold, list)):
+            raise _wrong_type(gold, "a list", "gold")
         if not isinstance(record["id"], str):
             raise ValidationError("problem id must be a string", field="id")
         return Problem(
@@ -222,7 +269,9 @@ def problem_from_record(record, line=None) -> Problem:
             text=record["text"],
             spans=spans,
             order_mapping=mapping,
-            gold=gold_to_declarations(gold) if gold is not None else None,
+            gold=(
+                _gold_to_declarations(gold, numbers) if gold is not None else None
+            ),
         )
     except KeyError as missing:
         raise ValidationError(f"missing required field {missing}", line=line)
@@ -252,6 +301,8 @@ def load_dataset(path) -> list:
     """Load and validate a JSONL dataset; any invariant violation is fatal."""
     problems = []
     seen_ids = set()
+    # Number texts repeat across a file's problems; each is read once.
+    numbers = JsonNumbers()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -260,7 +311,7 @@ def load_dataset(path) -> list:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValidationError(f"malformed JSON: {err}", line=line_no)
-            problem = problem_from_record(record, line=line_no)
+            problem = problem_from_record(record, numbers, line=line_no)
             if problem.id in seen_ids:
                 raise ValidationError(
                     f"duplicate problem id {problem.id!r}", line=line_no

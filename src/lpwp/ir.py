@@ -62,7 +62,7 @@ def constraint(direction_text: str, operator: str, limit, terms) -> Declaration:
         direction_text,
         dict(terms),
         operator=operator,
-        limit=Fraction(limit),
+        limit=limit if type(limit) is Fraction else Fraction(limit),
     )
 
 

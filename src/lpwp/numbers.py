@@ -48,6 +48,24 @@ def json_number(value) -> Fraction:
     return number
 
 
+class JsonNumbers(dict):
+    """``json_number`` of each distinct text, read once: ``numbers[str(value)]``.
+
+    Keys are texts, not values, because ``1``, ``1.0`` and ``True`` hash
+    equal but ``True`` must still be rejected. A text that fails to read is
+    not stored, so it raises again on every lookup. Make one per file or
+    call; the stored Fractions are immutable and safe to share.
+    """
+
+    def __missing__(self, text):
+        # json_number's plain-decimal fast path, without its call.
+        number = _read_decimal(text)
+        if number is None:
+            number = json_number(text)
+        self[text] = number
+        return number
+
+
 def decimal_places(value: Fraction):
     """Digits after the point in the decimal expansion of ``value``.
 

@@ -6,7 +6,8 @@ smallest index with a reduced cost below -eps, and the leaving row has the
 smallest ratio, ties within eps going to the smaller basic index. Each pivot
 is one rank-1 update of the rows with a nonzero pivot-column entry, which
 does the same float operations as a row-by-row elimination. ``eps`` must be
-finite and non-negative. Instances are desk scale (n, m up to 100).
+finite and non-negative. Entries of the canonical program are Fractions or
+ints. Instances are desk scale (n, m up to 100).
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 
 from .canonical import CanonicalFormulation
 from .errors import StructureError
-from .numbers import json_number
+from .numbers import JsonNumbers
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -55,18 +56,26 @@ def formulation_from_json_dict(data: dict) -> CanonicalFormulation:
             f"formulation JSON must be an object, got {type(data).__name__}"
         )
     try:
+        n_vars = data["n_vars"]
+        if type(n_vars) is not int or n_vars < 0:
+            raise StructureError(
+                f"formulation JSON n_vars must be a non-negative integer, "
+                f"got {n_vars!r}"
+            )
+        numbers = JsonNumbers()
         return CanonicalFormulation(
-            n_vars=int(data["n_vars"]),
+            n_vars=n_vars,
             objective=[
-                json_number(v) for v in _json_list(data["objective"], "objective")
+                numbers[str(v)]
+                for v in _json_list(data["objective"], "objective")
             ],
             constraints=[
-                [json_number(v) for v in _json_list(row, f"constraint row {i}")]
+                [numbers[str(v)] for v in _json_list(row, f"constraint row {i}")]
                 for i, row in enumerate(
                     _json_list(data["constraints"], "constraints")
                 )
             ],
-            limits=[json_number(v) for v in _json_list(data["limits"], "limits")],
+            limits=[numbers[str(v)] for v in _json_list(data["limits"], "limits")],
         )
     except KeyError as missing:
         raise StructureError(f"formulation JSON missing field {missing}")
@@ -79,25 +88,31 @@ def _pivot(tableau, basis, row, col):
     # their entries (-0.0 included) keep every bit.
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    rows = np.nonzero(factors)[0]
-    tableau[rows] -= np.outer(factors[rows], tableau[row])
+    rows = np.flatnonzero(factors)
+    tableau[rows] -= factors[rows, None] * tableau[row]
     basis[row] = col
 
 
 def _run_simplex(tableau, basis, costs, eps):
     """Minimize over the tableau in place; returns 'optimal' or 'unbounded'."""
+    if not costs.size:  # no columns: the empty basis is optimal
+        return OPTIMAL
+    # Views: pivots write the tableau in place, so these stay current.
+    body, rhs = tableau[:, :-1], tableau[:, -1]
     while True:
-        reduced = costs - costs[basis] @ tableau[:, :-1]
-        reduced[basis] = 0.0
-        candidates = np.nonzero(reduced < -eps)[0]
-        if candidates.size == 0:
+        basic = np.array(basis, dtype=np.intp)
+        reduced = costs - costs[basic] @ body
+        reduced[basic] = 0.0
+        negative = reduced < -eps
+        col = int(negative.argmax())  # Bland: smallest eligible index
+        if not negative[col]:
             return OPTIMAL
-        col = int(candidates[0])  # Bland: smallest eligible index
-        eligible = np.nonzero(tableau[:, col] > eps)[0]
+        column = body[:, col]
+        eligible = np.flatnonzero(column > eps)
         if eligible.size == 0:
             return UNBOUNDED
         rows = eligible.tolist()
-        ratios = (tableau[eligible, -1] / tableau[eligible, col]).tolist()
+        ratios = (rhs[eligible] / column[eligible]).tolist()
         # The tie-break is sequential: a ratio within eps of the running best
         # replaces it only if its basic variable has a smaller index. A
         # min-then-argmin over the ratios would not choose the same row.
@@ -113,6 +128,10 @@ def _run_simplex(tableau, basis, costs, eps):
 
 def solve_lp(formulation: CanonicalFormulation, eps: float = DEFAULT_EPS) -> LpSolution:
     """Solve a canonical program; optimal solutions are vertex solutions.
+
+    Entries of ``formulation`` must be Fractions or ints. Each is converted
+    as ``numerator / denominator``, which is the float ``float()`` gives for
+    either type, without the method call.
 
     ``eps`` must be finite and non-negative: a negative one lets the simplex
     pivot forever, and NaN fails every comparison, so the first basis would
@@ -138,11 +157,12 @@ def solve_lp(formulation: CanonicalFormulation, eps: float = DEFAULT_EPS) -> LpS
     if n > MAX_SIZE or m > MAX_SIZE:
         raise StructureError(f"instance exceeds desk scale ({MAX_SIZE})")
 
-    c = np.array([float(v) for v in formulation.objective])
-    a = np.array(
-        [[float(v) for v in row] for row in formulation.constraints]
-    ).reshape(m, n)
-    b = np.array([float(v) for v in formulation.limits])
+    c = np.array([v.numerator / v.denominator for v in formulation.objective])
+    a = np.array([
+        [v.numerator / v.denominator for v in row]
+        for row in formulation.constraints
+    ]).reshape(m, n)
+    b = np.array([v.numerator / v.denominator for v in formulation.limits])
 
     # Ax + s = b with slacks s >= 0; rows with negative b are negated and get
     # an artificial variable to provide an initial basis.

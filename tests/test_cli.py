@@ -225,3 +225,15 @@ def test_cli_matches_library(runner, berry_dataset):
     )
     result = runner.invoke(main, ["augment", "--in", str(berry_dataset)])
     assert result.output.rstrip("\n") == expected
+
+
+@pytest.mark.parametrize("n_vars", [None, 1.9, -1, True, "1"])
+def test_solve_rejects_n_vars_that_is_not_a_count(runner, tmp_path, n_vars):
+    payload = {"n_vars": n_vars, "objective": [1], "constraints": [[1]],
+               "limits": [1]}
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["solve", "--in", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "error: formulation JSON n_vars" in result.output

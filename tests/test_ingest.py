@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from lpwp import ingest
+from lpwp.canonical import canonicalize
 from lpwp.errors import (
     MappingError,
     UnsupportedDeclarationError,
     ValidationError,
 )
 from lpwp.ingest import EntitySpan, OrderMapping, Problem
+from lpwp.numbers import JsonNumbers
+from lpwp.solver import solve_lp
 
 from helpers import BERRY_GOLD_RECORDS, berry_problem, random_problem
 
@@ -221,3 +224,87 @@ def test_gold_declaration_variables_must_resolve():
                  "vars": ["y"]},
             ]),
         )
+
+
+def berry_record(**changes):
+    return dict(ingest.problem_to_record(berry_problem()), **changes)
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"gold": 5}, "gold"),
+    ({"gold": [BERRY_GOLD_RECORDS[0],
+               dict(BERRY_GOLD_RECORDS[1], terms=[["farm 1", "50"]])]},
+     "gold[1].terms"),
+    ({"gold": [dict(BERRY_GOLD_RECORDS[0], vars=5)]}, "gold[0].vars"),
+    ({"gold": [dict(BERRY_GOLD_RECORDS[0], vars=["farm 1", 2])]}, "gold[0].vars"),
+    ({"spans": [[0, 5, "VAR"]]}, "spans"),
+    ({"spans": 5}, "spans"),
+    ({"order_mapping": {"farm 1": 0.0, "farm 2": 1}}, "order_mapping"),
+    ({"order_mapping": {"farm 1": False, "farm 2": True}}, "order_mapping"),
+    ({"order_mapping": [["farm 1", 0], ["farm 2", 1]]}, "order_mapping"),
+], ids=["gold_not_list", "terms_list", "vars_int", "var_not_string",
+        "span_list", "spans_int", "float_index", "bool_index", "mapping_list"])
+def test_load_rejects_wrong_json_shapes(tmp_path, changes, field):
+    write_jsonl(tmp_path / "d.jsonl",
+                [berry_record(), berry_record(id="second", **changes)])
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert (err.value.line, err.value.field) == (2, field)
+
+
+def test_shared_reader_rejects_true_after_reading_one(tmp_path):
+    # 1 and True hash equal; the file's reader must still reject True.
+    first = berry_record(gold=[BERRY_GOLD_RECORDS[0],
+                               dict(BERRY_GOLD_RECORDS[1], limit=1)])
+    second = berry_record(id="second", gold=[BERRY_GOLD_RECORDS[0],
+                                             dict(BERRY_GOLD_RECORDS[1], limit=True)])
+    write_jsonl(tmp_path / "d.jsonl", [first, second])
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert (err.value.line, err.value.field) == (2, "gold[1]")
+
+
+def test_problems_sharing_numbers_round_trip(tmp_path):
+    gold = [BERRY_GOLD_RECORDS[0],
+            dict(BERRY_GOLD_RECORDS[1], limit="7", terms={"farm 1": "0.5", "farm 2": 7})]
+    records = [berry_record(gold=gold), berry_record(id="second", gold=gold[::-1])]
+    write_jsonl(tmp_path / "d.jsonl", records)
+    loaded = ingest.load_dataset(tmp_path / "d.jsonl")
+    for problem in loaded:
+        (constraint,) = [d for d in problem.gold if d.kind == "constraint"]
+        assert constraint.limit == 7
+        assert constraint.terms == {"farm 1": Fraction(1, 2), "farm 2": 7}
+    ingest.save_dataset(loaded, tmp_path / "saved.jsonl")
+    assert ingest.load_dataset(tmp_path / "saved.jsonl") == loaded
+    assert (tmp_path / "saved.jsonl").read_text().count('"0.5"') == 2
+
+
+def test_shared_reader_load_equals_per_record_load(tmp_path):
+    rng = random.Random(2026)
+    problems = [random_problem(rng, f"p{i}") for i in range(300)]
+    path = tmp_path / "random.jsonl"
+    ingest.save_dataset(problems, path)
+    loaded = ingest.load_dataset(path)
+    with open(path, encoding="utf-8") as fh:
+        one_by_one = [
+            ingest.problem_from_record(json.loads(line), JsonNumbers(), line=i)
+            for i, line in enumerate(fh, 1)
+        ]
+    assert loaded == one_by_one == problems
+    for shared, alone in zip(loaded, one_by_one):
+        a = canonicalize(shared.gold, shared.order_mapping)
+        b = canonicalize(alone.gold, alone.order_mapping)
+        assert a == b
+        assert solve_lp(a) == solve_lp(b)
+
+
+def test_other_spelling_of_gold_variable_loads(tmp_path):
+    record = berry_record(gold=[
+        dict(BERRY_GOLD_RECORDS[0], vars=[" Farm  1 ", "farm 2"]),
+        dict(BERRY_GOLD_RECORDS[1], terms={" Farm  1 ": "50", "FARM 2": "70"}),
+    ])
+    write_jsonl(tmp_path / "d.jsonl", [record])
+    (problem,) = ingest.load_dataset(tmp_path / "d.jsonl")
+    form = canonicalize(problem.gold, problem.order_mapping)
+    assert form.objective == [1, 1]
+    assert form.constraints == [[-50, -70]]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpwp.numbers import decimal_places, json_number, parse_number
+from lpwp.numbers import JsonNumbers, decimal_places, json_number, parse_number
 
 
 # The readers before the shared decimal fast path, kept as the reference.
@@ -31,15 +31,34 @@ def outcome(reader, value):
     return type(number), number
 
 
-def assert_same_as_reference(value):
-    assert outcome(json_number, value) == outcome(reference_json_number, value)
-    if isinstance(value, str):
-        assert outcome(parse_number, value) == outcome(reference_parse_number, value)
-
-
 EDGE_STRINGS = ["-0", "-0.50", "007", "+4", ".5", "5.", " 3", "1_000", "1e3",
                 "1/2", "1/3", "٣", "", ".", "-", "+.5", "-.5", "5.5.5",
                 "1e-05", "nan", "inf", " -2.25 \n"]
+JSON_VALUES = [0, -7, 10**30, 0.5, -2.5, 1e-05, 1e16, True, None]
+
+
+def reader_holding_all_but(value):
+    """A shared reader that has already read every listed value but ``value``."""
+    numbers = JsonNumbers()
+    for other in EDGE_STRINGS + JSON_VALUES:
+        if other is not value:
+            try:
+                numbers[str(other)]
+            except ValueError:
+                pass
+    return numbers
+
+
+def assert_same_as_reference(value):
+    expected = outcome(reference_json_number, value)
+    assert outcome(json_number, value) == expected
+    numbers = reader_holding_all_but(value)
+    # The first read may find a value with the same text; the second finds
+    # the stored one, or fails again.
+    assert outcome(lambda v: numbers[str(v)], value) == expected
+    assert outcome(lambda v: numbers[str(v)], value) == expected
+    if isinstance(value, str):
+        assert outcome(parse_number, value) == outcome(reference_parse_number, value)
 
 
 @pytest.mark.parametrize("value", EDGE_STRINGS)
@@ -47,7 +66,7 @@ def test_edge_strings_read_as_before(value):
     assert_same_as_reference(value)
 
 
-@pytest.mark.parametrize("value", [0, -7, 10**30, 0.5, -2.5, 1e-05, 1e16, True, None])
+@pytest.mark.parametrize("value", JSON_VALUES)
 def test_json_values_read_as_before(value):
     assert_same_as_reference(value)
 

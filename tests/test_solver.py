@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpwp import solver
 from lpwp.canonical import CanonicalFormulation, canonicalize
@@ -238,3 +240,18 @@ def test_simplex_matches_row_by_row_reference_bit_for_bit():
         assert got.tobytes() == expected.tobytes()
         statuses.add(status)
     assert statuses == {solver.OPTIMAL, solver.UNBOUNDED}
+
+
+def test_empty_program_is_optimal():
+    solution = solve_lp(form([], [], []))
+    assert solution.status == "optimal"
+    assert solution.x == []
+    assert solution.objective_value == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(), st.integers())
+def test_float_of_entries_is_numerator_over_denominator(fraction, integer):
+    # solve_lp converts entries this way instead of with float().
+    for v in (fraction, integer, Fraction(integer, 3**40)):
+        assert (v.numerator / v.denominator).hex() == float(v).hex()
