@@ -11,13 +11,10 @@ from fractions import Fraction
 
 from . import ir
 from .errors import StructureError
-from .ingest import OrderMapping, normalize_name
+from .ingest import MAX_WORDS, MIN_WORDS, OrderMapping, normalize_name
 from .numbers import format_number
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
-
-_MIN_WORDS = {"min", "minimize", "minimise", "minimization", "minimisation"}
-_MAX_WORDS = {"max", "maximize", "maximise", "maximization", "maximisation"}
 
 
 @dataclass
@@ -40,9 +37,9 @@ class CanonicalFormulation:
 
 def _objective_sign(direction_text: str) -> int:
     word = normalize_name(direction_text)
-    if word in _MIN_WORDS:
+    if word in MIN_WORDS:
         return 1
-    if word in _MAX_WORDS:
+    if word in MAX_WORDS:
         return -1
     raise StructureError(
         f"objective direction {direction_text!r} is neither minimize nor "

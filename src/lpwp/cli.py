@@ -14,6 +14,7 @@ import click
 from . import augment as augment_mod
 from . import canonical, ingest, ir, metrics, noise, solver
 from .errors import ToolkitError
+from .numbers import decode_json, parse_number
 
 
 def _dump_json(obj) -> str:
@@ -104,7 +105,8 @@ def canonicalize_cmd(input_path, algebraic):
 @main.command("score")
 @click.option("--gold", "gold_path", required=True, type=click.Path(exists=True))
 @click.option("--pred", "pred_path", required=True, type=click.Path(exists=True))
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=parse_number, default="1e-9", show_default=True,
+              metavar="NUMBER")
 @_toolkit_errors
 def score_cmd(gold_path, pred_path, tol):
     """Score a line-aligned predictions file against a gold dataset.
@@ -174,7 +176,7 @@ def ner_f1_cmd(ref_path, hyp_path):
 def solve_cmd(input_path, eps):
     """Solve a canonical formulation JSON and print the solution JSON."""
     with open(input_path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = decode_json(fh.read())
     formulation = solver.formulation_from_json_dict(data)
     solution = solver.solve_lp(formulation, eps)
     click.echo(_dump_json(solution.as_json_dict()))

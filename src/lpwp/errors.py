@@ -28,10 +28,6 @@ class ValidationError(ToolkitError):
 class UnsupportedDeclarationError(ValidationError):
     """A gold record uses a declaration type the toolkit does not model."""
 
-    def __init__(self, type_string, **kw):
-        self.type_string = type_string
-        super().__init__(f"unsupported declaration type: {type_string!r}", **kw)
-
 
 class IrParseError(ToolkitError):
     """IR grammar violation, with the character position of the fault.

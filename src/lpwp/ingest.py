@@ -1,30 +1,31 @@
 """Dataset loading, validation, and persistence.
 
-One problem per JSONL line:
-
-    {"id": str, "text": str,
-     "spans": [{"start": int, "end": int, "label": str}],
-     "order_mapping": {str: int},
-     "gold": [{"type": "objvar"|"linear", ...}]}   # optional
-
-Character offsets count Unicode scalar values, not bytes. Validation is
-total: bad data is reported with line numbers and field paths, never
-silently repaired.
+One problem per JSONL line; ``RECORD`` below is its schema. Character
+offsets count Unicode scalar values, not bytes. Validation is total: bad
+data is reported with line numbers and field paths, never silently
+repaired.
 """
 
 import json
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Optional
 
 from . import ir
 from .errors import MappingError, UnsupportedDeclarationError, ValidationError
-from .numbers import JsonNumbers, format_number
+from .numbers import JsonNumbers, Literal, decode_json, format_number
 
 logger = logging.getLogger(__name__)
 
 LABELS = ("CONST_DIR", "LIMIT", "OBJ_DIR", "OBJ_NAME", "PARAM", "VAR")
+
+# Objective direction words, after normalize_name.
+MIN_WORDS = frozenset({"min", "minimize", "minimise", "minimization", "minimisation"})
+MAX_WORDS = frozenset({"max", "maximize", "maximise", "maximization", "maximisation"})
+_DIRECTIONS = MIN_WORDS | MAX_WORDS
 
 
 def normalize_name(name: str) -> str:
@@ -75,14 +76,6 @@ class OrderMapping:
     def __post_init__(self):
         index = {}
         for key, column in self.entries.items():
-            # bool is an int subclass, and a float index would load here
-            # only to fail as a list index later.
-            if type(column) is not int:
-                raise ValidationError(
-                    f"order mapping index {column!r} of {key!r} is not an "
-                    f"integer",
-                    field="order_mapping",
-                )
             name = normalize_name(key)
             if name in index:
                 first = next(k for k in self.entries if normalize_name(k) == name)
@@ -150,69 +143,281 @@ class Problem:
                     "problem %s: VAR span %r does not resolve in the order "
                     "mapping", self.id, name,
                 )
-        if self.gold is not None:
-            entries = self.order_mapping.entries
-            for decl in self.gold:
-                # Exact keys need no resolving; only other spellings do,
-                # and they keep resolve's error message.
-                if not decl.terms.keys() <= entries.keys():
-                    for var in decl.terms:
-                        self.order_mapping.resolve(var)
+        if self.gold is None:
+            return
+        entries = self.order_mapping.entries
+        # Gold must have a canonical form: one objective with a min/max
+        # direction, and no constraint row without a nonzero entry.
+        objectives = 0
+        for i, decl in enumerate(self.gold):
+            terms = decl.terms
+            # Exact keys need no resolving; only other spellings do, and
+            # they may add up to an all-zero row.
+            if not terms.keys() <= entries.keys():
+                terms = {}
+                for var, coeff in decl.terms.items():
+                    column = self.order_mapping.resolve(var)
+                    terms[column] = terms.get(column, 0) + coeff
+            if decl.kind == ir.OBJECTIVE:
+                objectives += 1
+                word = decl.direction_text
+                if word not in _DIRECTIONS and normalize_name(word) not in _DIRECTIONS:
+                    raise ValidationError(
+                        f"objective direction {word!r} is neither minimize "
+                        f"nor maximize", field=f"gold[{i}]",
+                    )
+            elif not any(terms.values()):
+                raise ValidationError(
+                    "constraint row has no nonzero entry", field=f"gold[{i}]"
+                )
+        if objectives != 1:
+            raise ValidationError("gold needs exactly one objective", field="gold")
 
 
-def _wrong_type(value, expected, field):
-    return ValidationError(
-        f"expected {expected}, got {type(value).__name__}", field=field
-    )
+# --- The schema -------------------------------------------------------------
+# A schema is a JSON type (str, int), NUMBER, a list of one schema,
+# {str: schema}, a Record, or {type name: Record}: an object chosen by its
+# "type" field. Reading checks each value once and converts it in the same
+# pass. int rejects bool, str rejects a number literal, and other keys are
+# ignored. An error's field is the path to the bad value ("gold[1].terms",
+# "spans[0].start"), but a bad item of a list or map is reported at the list
+# or map, and a number that does not read at its record, naming the field.
+#
+# A reader takes the number cache and a list of values, and returns the list
+# of results: the values of one field across many records are checked and
+# converted together, so the cost per value is a few C-level steps. A batch
+# that fails is read again one value at a time, to report the first fault.
+
+NUMBER = "number"  # an int, or a string or literal in the numbers grammar
+_NAMES = {type(None): "null", bool: "a boolean", int: "an integer",
+          Literal: "a number", float: "a non-finite number", str: "a string",
+          list: "a list", dict: "an object", NUMBER: "a number"}
+_FAULTS = (ValidationError, ValueError, TypeError)
+
+
+def _json_type(schema):
+    """The JSON type of a value of ``schema``, or NUMBER."""
+    if schema is NUMBER or type(schema) is type:
+        return schema
+    return list if type(schema) is list else dict
+
+
+def _mismatch(value, json_type):
+    got = _NAMES.get(type(value), type(value).__name__)
+    return ValidationError(f"expected {_NAMES[json_type]}, got {got}")
+
+
+def _first_mismatch(values, json_type):
+    return _mismatch(next(v for v in values if type(v) is not json_type), json_type)
+
+
+def _within(err, step):
+    """Prefix ``err``'s field path with ``step``."""
+    tail = err.field or ""
+    err.field = step + ("." if tail[:1] not in ("", "[") else "") + tail
+
+
+def _batched(read_all):
+    """``read_all(numbers, values)``, with the position of the first value
+    that fails in the fault's ``index``."""
+    def read(numbers, values):
+        try:
+            return read_all(numbers, values)
+        except _FAULTS as err:
+            for i, value in enumerate(values if len(values) > 1 else ()):
+                try:
+                    read_all(numbers, [value])
+                except _FAULTS as first:
+                    first.index = i
+                    raise first from None
+            err.index = 0
+            raise
+    return read
+
+
+class Record:
+    """An object of two or more fields, read and passed to ``build`` in order.
+
+    ``read(numbers, values)`` returns what ``build`` makes of each value. An
+    optional field may be absent or null, and is passed as None. A
+    ValueError from ``build`` is reported at the record.
+    """
+
+    def __init__(self, build, fields, optional=()):
+        self.build, self.optional = build, frozenset(optional)
+        self.names, self.get = tuple(fields), itemgetter(*fields)
+        self.kinds = tuple(map(_json_type, fields.values()))
+        # The field types of a record that needs no closer look; a number
+        # is most often a string.
+        self.types = tuple(str if k is NUMBER else k for k in self.kinds)
+        self.reads = [(i, name, _reader(sub)) for i, (name, sub)
+                      in enumerate(fields.items()) if _reader(sub)]
+        self.read = _batched(self._read_all)
+
+    def _read_all(self, numbers, values):
+        try:
+            rows = list(map(self.get, values))
+        except KeyError:
+            rows = [tuple(map(value.get, self.names)) for value in values]
+        if tuple(map(type, chain.from_iterable(rows))) != self.types * len(rows):
+            for value, row in zip(values, rows):
+                self._check(value, row)
+        columns = list(zip(*rows)) or [()] * len(self.names)
+        for i, name, read in self.reads:
+            column = columns[i]
+            if name in self.optional:  # read the values that are not null
+                column = [v for v in column if v is not None]
+            try:
+                results = read(numbers, column)
+            except ValidationError as err:
+                _within(err, name)
+                raise
+            except ValueError as bad:  # a number that does not read
+                raise ValidationError(f"{name}: {bad}") from None
+            except TypeError:  # an unhashable value where a number belongs
+                raise ValidationError(
+                    f"{name}: expected a number, got a list or an object"
+                ) from None
+            if name in self.optional:
+                results = iter(results)
+                results = [v if v is None else next(results) for v in columns[i]]
+            columns[i] = results
+        try:
+            return list(map(self.build, *columns))
+        except ValueError as bad:
+            raise ValidationError(str(bad)) from None
+
+    def _check(self, value, values):
+        """Raise for the first field that is missing or of the wrong type;
+        the number reader judges a number that is not null."""
+        for name, kind, v in zip(self.names, self.kinds, values):
+            if type(v) is kind or kind is NUMBER and v is not None:
+                continue
+            if name not in value:
+                if name in self.optional:
+                    continue
+                raise ValidationError("missing required field", field=name)
+            if v is not None or name not in self.optional:
+                err = _mismatch(v, kind)
+                err.field = name
+                raise err
+
+
+def _read_numbers(numbers, values):
+    return list(map(numbers.__getitem__, values))
+
+
+def _reader(schema):
+    """``read(numbers, values)`` for values of ``schema``'s JSON type, or
+    None for a JSON type, whose values need no reading."""
+    if schema is NUMBER:
+        return _read_numbers
+    if type(schema) is type:
+        return None
+    if type(schema) is Record:
+        return schema.read
+    if type(schema) is list:
+        return _list_reader(schema[0])
+    if str not in schema:
+        return _choice_reader(schema)
+    item = schema[str]
+
+    def read_maps(numbers, maps):
+        items = list(chain.from_iterable(map(dict.values, maps)))
+        if item is NUMBER:
+            items = _read_numbers(numbers, items)
+        elif tuple(map(type, items)) != (item,) * len(items):
+            raise _first_mismatch(items, item)
+        items = iter(items)
+        return [dict(zip(value, items)) for value in maps]
+    return _batched(read_maps)
+
+
+def _list_reader(item):
+    item_type, read_item = _json_type(item), _reader(item)
+
+    def read_lists(numbers, lists):
+        items = list(chain.from_iterable(lists))
+        if item is not NUMBER and tuple(map(type, items)) != (item_type,) * len(items):
+            raise _first_mismatch(items, item_type)
+        if read_item:
+            try:
+                items = read_item(numbers, items)
+            except ValidationError as err:
+                _within(err, f"[{err.index}]")
+                raise
+        items = iter(items)
+        return [list(islice(items, len(value))) for value in lists]
+    return _batched(read_lists)
+
+
+def _choice_reader(records):
+    def read_choices(numbers, values):
+        tags = [value.get("type") for value in values]
+        out = [None] * len(values)
+        for tag, record in records.items():
+            where = [i for i, t in enumerate(tags) if t == tag]
+            for i, result in zip(where, record.read(numbers, [values[i] for i in where])):
+                out[i] = result
+        for value, tag in zip(values, tags):
+            if not (type(tag) is str and tag in records):
+                if "type" not in value:
+                    raise ValidationError("record has no 'type'")
+                raise UnsupportedDeclarationError(
+                    f"unsupported declaration type: {tag!r}"
+                )
+        return out
+    return _batched(read_choices)
+
+
+def read(value, schema, numbers: JsonNumbers, field=None):
+    """``value`` checked against ``schema``, with numbers read and records
+    built; ``field`` names ``value`` in error paths."""
+    try:
+        if type(value) is not _json_type(schema):
+            raise _mismatch(value, _json_type(schema))
+        return _reader(schema)(numbers, [value])[0]
+    except ValidationError as err:
+        if field:
+            _within(err, field)
+        raise
 
 
 _ONE = Fraction(1)
 
 
+def _objvar(direction, name, variables):
+    return ir.Declaration(ir.OBJECTIVE, direction, dict.fromkeys(variables, _ONE),
+                          name=name)
+
+
+def _linear(direction, operator, limit, terms):
+    # The reader built ``terms`` and ``limit``; ir.constraint would copy them.
+    return ir.Declaration(ir.CONSTRAINT, direction, terms, operator=operator,
+                          limit=limit)
+
+
+def _problem(id, text, spans, entries, gold):
+    try:
+        return Problem(id, text, spans, OrderMapping(entries), gold)
+    except MappingError as err:
+        raise ValidationError(str(err), field="gold") from err
+
+
+SPAN = Record(EntitySpan, {"start": int, "end": int, "label": str})
+GOLD = {  # a gold record, by its "type"
+    "objvar": Record(_objvar, {"direction": str, "name": str, "vars": [str]}),
+    "linear": Record(_linear, {"direction": str, "operator": str,
+                               "limit": NUMBER, "terms": {str: NUMBER}}),
+}
+RECORD = Record(_problem, {"id": str, "text": str, "spans": [SPAN],
+                           "order_mapping": {str: int}, "gold": [GOLD]},
+                optional=["gold"])
+
+
 def gold_to_declarations(records) -> list:
-    """Convert raw objective/constraint records into declarations.
-
-    Limits and coefficients must have a terminating decimal expansion.
-    """
-    return _gold_to_declarations(records, JsonNumbers())
-
-
-def _gold_to_declarations(records, numbers: JsonNumbers) -> list:
-    decls = []
-    for i, rec in enumerate(records):
-        try:
-            rtype = rec["type"]
-        except (KeyError, TypeError):
-            raise ValidationError("record has no 'type'", field=f"gold[{i}]")
-        try:
-            if rtype == "objvar":
-                names = rec["vars"]
-                if not isinstance(names, list):
-                    raise _wrong_type(names, "a list", f"gold[{i}].vars")
-                if not all(type(v) is str for v in names):
-                    raise ValidationError(
-                        "variable names must be strings", field=f"gold[{i}].vars"
-                    )
-                decls.append(ir.objective(
-                    rec["direction"], rec["name"], {v: _ONE for v in names},
-                ))
-            elif rtype == "linear":
-                terms = rec["terms"]
-                if not isinstance(terms, dict):
-                    raise _wrong_type(terms, "an object", f"gold[{i}].terms")
-                decls.append(ir.constraint(
-                    rec["direction"], rec["operator"], numbers[str(rec["limit"])],
-                    {v: numbers[str(c)] for v, c in terms.items()},
-                ))
-            else:
-                raise UnsupportedDeclarationError(rtype, field=f"gold[{i}]")
-        except KeyError as missing:
-            raise ValidationError(
-                f"missing required field {missing}", field=f"gold[{i}].type={rtype}"
-            )
-        except ValueError as bad:
-            raise ValidationError(str(bad), field=f"gold[{i}]")
-    return decls
+    """Convert raw objective/constraint records into declarations."""
+    return read(records, [GOLD], JsonNumbers(), "gold")
 
 
 def declarations_to_gold(decls) -> list:
@@ -242,44 +447,14 @@ def declarations_to_gold(decls) -> list:
 
 
 def problem_from_record(record, numbers: JsonNumbers, line=None) -> Problem:
-    """Build a problem from one JSON record, reading gold through ``numbers``."""
+    """Build a problem from one decoded JSON record, reading gold through ``numbers``."""
     try:
-        if not isinstance(record, dict):
-            raise _wrong_type(record, "an object", None)
-        raw_spans = record["spans"]
-        if not isinstance(raw_spans, list):
-            raise _wrong_type(raw_spans, "a list", "spans")
-        try:
-            spans = [EntitySpan(s["start"], s["end"], s["label"]) for s in raw_spans]
-        except TypeError:  # a span that is not an object
-            raise ValidationError(
-                "each span must be an object", field="spans"
-            ) from None
-        entries = record["order_mapping"]
-        if not isinstance(entries, dict):
-            raise _wrong_type(entries, "an object", "order_mapping")
-        mapping = OrderMapping(dict(entries))
-        gold = record.get("gold")
-        if not (gold is None or isinstance(gold, list)):
-            raise _wrong_type(gold, "a list", "gold")
-        if not isinstance(record["id"], str):
-            raise ValidationError("problem id must be a string", field="id")
-        return Problem(
-            id=record["id"],
-            text=record["text"],
-            spans=spans,
-            order_mapping=mapping,
-            gold=(
-                _gold_to_declarations(gold, numbers) if gold is not None else None
-            ),
-        )
-    except KeyError as missing:
-        raise ValidationError(f"missing required field {missing}", line=line)
+        if type(record) is not dict:
+            raise _mismatch(record, dict)
+        return RECORD.read(numbers, [record])[0]
     except ValidationError as err:
         err.line = line
         raise
-    except MappingError as err:
-        raise ValidationError(str(err), line=line, field="gold") from err
 
 
 def problem_to_record(problem: Problem) -> dict:
@@ -297,27 +472,48 @@ def problem_to_record(problem: Problem) -> dict:
     return record
 
 
+# load_dataset reads lines together until they hold this many characters:
+# fewer lines of large problems keep the batch's memory small.
+_BATCH_CHARS = 1 << 16
+
+
 def load_dataset(path) -> list:
     """Load and validate a JSONL dataset; any invariant violation is fatal."""
     problems = []
     seen_ids = set()
     # Number texts repeat across a file's problems; each is read once.
     numbers = JsonNumbers()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValidationError(f"malformed JSON: {err}", line=line_no)
-            problem = problem_from_record(record, numbers, line=line_no)
+
+    def add(batch):
+        try:
+            built = read([record for _, record in batch], [RECORD], numbers)
+        except ValidationError:  # read line by line, to report the first fault
+            built = [None] * len(batch)
+        for (line_no, record), problem in zip(batch, built):
+            if problem is None:
+                problem = problem_from_record(record, numbers, line=line_no)
             if problem.id in seen_ids:
                 raise ValidationError(
                     f"duplicate problem id {problem.id!r}", line=line_no
                 )
             seen_ids.add(problem.id)
             problems.append(problem)
+
+    batch, size = [], 0
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                batch.append((line_no, decode_json(line)))
+            except ValueError as err:
+                add(batch)  # a fault on an earlier line comes first
+                raise ValidationError(f"malformed JSON: {err}", line=line_no)
+            size += len(line)
+            if size >= _BATCH_CHARS:
+                add(batch)
+                batch, size = [], 0
+    add(batch)
     return problems
 
 

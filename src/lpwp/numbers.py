@@ -1,68 +1,80 @@
 """Exact decimal arithmetic helpers.
 
 Coefficients and limits are kept as rationals so that canonical equality is
-exact; floats only appear at the solver boundary.
+exact; floats only appear at the solver boundary. Every number read (gold,
+formulations, IR tokens, ``--tol``) follows one ASCII grammar, and JSON
+float literals are read from their text:
+
+    [+-]? (digits ["." [digits]] | "." digits) [("e" | "E") [+-]? digits]
 """
 
+import json
 import re
+import sys
 from fractions import Fraction
 
-# A sign, then digits with an optional point and fraction, or a point and at
-# least one digit: "+4", "-0.50", "5.", ".5". The lookahead demands a digit,
-# so "." and "" do not match.
-_DECIMAL_RE = re.compile(r"([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?")
+# The least limit sys.set_int_max_str_digits accepts: a plain decimal this
+# short is within any limit.
+_SHORT = 640
+# Python before 3.10.7 has no limit; its numbers are bound by today's default.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+# The lookahead demands a mantissa digit, so "." and "" do not match.
+_NUMBER_RE = re.compile(
+    r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?"
+)
 
 
-def _read_decimal(text: str):
-    """Exact rational of a plain decimal literal, or None if ``text`` is not one."""
-    match = _DECIMAL_RE.fullmatch(text)
-    if match is None:
-        return None
-    sign, whole, fraction = match.groups()
-    if not fraction:
-        return Fraction(int(sign + (whole or "0")))
-    return Fraction(int(sign + whole + fraction), 10 ** len(fraction))
+class Literal(str):
+    """The text of a JSON number literal with a point or an exponent."""
 
 
-def parse_number(token: str) -> Fraction:
-    """Parse a plain decimal literal into an exact rational."""
-    token = token.strip()
-    number = _read_decimal(token)
-    if number is None:
-        raise ValueError(f"not a decimal number: {token!r}")
-    return number
+# Like json.loads, but a float literal decodes to its text, as a Literal.
+decode_json = json.JSONDecoder(parse_float=Literal).decode
 
 
-def json_number(value) -> Fraction:
-    """Exact rational of a JSON number or string; must terminate as a decimal.
+def parse_number(text: str) -> Fraction:
+    """Exact rational of a number in the grammar above.
 
-    Plain decimals are read directly; anything else (``1e-05``, ``"1/2"``)
-    goes through ``Fraction(str(value))``.
+    A number is rejected before any power of ten is built when, written as
+    a plain decimal (as ``format_number`` writes it), it would have more
+    digits than ``sys.get_int_max_str_digits()`` lets ``int`` read back.
     """
-    text = str(value)
-    number = _read_decimal(text)
-    if number is None:
-        number = Fraction(text)
-        if decimal_places(number) is None:
-            raise ValueError(f"{value!r} has no terminating decimal expansion")
-    return number
+    match = _NUMBER_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not a number")
+    sign, whole, fraction, exponent = match.groups()
+    if exponent is None and len(text) <= _SHORT:
+        if not fraction:
+            return Fraction(int(sign + whole))
+        return Fraction(int(sign + whole + fraction), 10 ** len(fraction))
+    fraction = fraction or ""
+    digits = whole + fraction
+    shift = int(exponent or 0) - len(fraction)
+    limit = _max_str_digits()
+    if limit and max(len(digits) + shift, 1) + max(-shift, 0) > limit:
+        raise ValueError(f"{text!r} needs more than {limit} digits")
+    if shift >= 0:
+        return Fraction(int(sign + digits) * 10**shift)
+    return Fraction(int(sign + digits), 10**-shift)
 
 
 class JsonNumbers(dict):
-    """``json_number`` of each distinct text, read once: ``numbers[str(value)]``.
+    """The exact rational of each distinct JSON number, read once: ``numbers[value]``.
 
-    Keys are texts, not values, because ``1``, ``1.0`` and ``True`` hash
-    equal but ``True`` must still be rejected. A text that fails to read is
-    not stored, so it raises again on every lookup. Make one per file or
-    call; the stored Fractions are immutable and safe to share.
+    A number is an int or a number text (a JSON string or a ``Literal``).
+    Only texts are stored, so a bool or a float never finds an equal int
+    read earlier; an int is converted on each lookup. Any other value raises
+    ValueError, or TypeError if it is unhashable. A text that fails to read
+    is not stored. Make one per file or call; the stored Fractions are
+    immutable and safe to share.
     """
 
-    def __missing__(self, text):
-        # json_number's plain-decimal fast path, without its call.
-        number = _read_decimal(text)
-        if number is None:
-            number = json_number(text)
-        self[text] = number
+    def __missing__(self, value):
+        if type(value) is int:
+            return Fraction(value)
+        if type(value) is not str and type(value) is not Literal:
+            raise ValueError(f"expected a number, got {value!r}")
+        number = self[value] = parse_number(value)
         return number
 
 

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .canonical import CanonicalFormulation
-from .errors import StructureError
+from .errors import StructureError, ValidationError
+from .ingest import NUMBER, Record, read
 from .numbers import JsonNumbers
 
 OPTIMAL = "optimal"
@@ -42,43 +43,24 @@ class LpSolution:
         return out
 
 
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise StructureError(
-            f"formulation JSON {what} must be a list, got {type(value).__name__}"
-        )
-    return value
+# The formulation JSON that ``lpwp solve`` reads.
+FORMULATION = Record(CanonicalFormulation, {
+    "n_vars": int, "objective": [NUMBER], "constraints": [[NUMBER]],
+    "limits": [NUMBER],
+})
 
 
-def formulation_from_json_dict(data: dict) -> CanonicalFormulation:
-    if not isinstance(data, dict):
-        raise StructureError(
-            f"formulation JSON must be an object, got {type(data).__name__}"
-        )
+def formulation_from_json_dict(data) -> CanonicalFormulation:
     try:
-        n_vars = data["n_vars"]
-        if type(n_vars) is not int or n_vars < 0:
-            raise StructureError(
-                f"formulation JSON n_vars must be a non-negative integer, "
-                f"got {n_vars!r}"
-            )
-        numbers = JsonNumbers()
-        return CanonicalFormulation(
-            n_vars=n_vars,
-            objective=[
-                numbers[str(v)]
-                for v in _json_list(data["objective"], "objective")
-            ],
-            constraints=[
-                [numbers[str(v)] for v in _json_list(row, f"constraint row {i}")]
-                for i, row in enumerate(
-                    _json_list(data["constraints"], "constraints")
-                )
-            ],
-            limits=[numbers[str(v)] for v in _json_list(data["limits"], "limits")],
+        formulation = read(data, FORMULATION, JsonNumbers())
+    except ValidationError as err:
+        where = f" {err.field}" if err.field else ""
+        raise StructureError(f"formulation JSON{where}: {err.message}") from None
+    if formulation.n_vars < 0:
+        raise StructureError(
+            f"formulation JSON n_vars must be non-negative, got {formulation.n_vars}"
         )
-    except KeyError as missing:
-        raise StructureError(f"formulation JSON missing field {missing}")
+    return formulation
 
 
 def _pivot(tableau, basis, row, col):

@@ -189,3 +189,28 @@ def random_problem(rng, pid):
         order_mapping=OrderMapping({name: i for i, name in enumerate(var_names)}),
         gold=[objective] + constraints,
     )
+
+
+# --- Type mutations: one value of a valid record replaced by another -------
+
+# One value of each JSON type, plus strings that mean something somewhere.
+MUTANT_VALUES = [None, True, False, 0, 1, -3, 7, 1.5, 0.0, "", "x", "0", "2.5",
+                 "min", "VAR", "farm 1", [], [1], {}, {"a": 1}]
+
+
+def json_paths(value, path=()):
+    """Paths (tuples of keys and indices) to every value below ``value``."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def replace_at(value, path, new):
+    """A deep copy of ``value`` with the value at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replace_at(value[path[0]], path[1:], new)
+    return copy

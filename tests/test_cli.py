@@ -1,12 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from lpwp import ingest
+from lpwp import ingest, ir
 from lpwp.cli import main
 
-from helpers import berry_problem
+from helpers import MUTANT_VALUES, berry_problem, json_paths, replace_at
 
 
 @pytest.fixture
@@ -237,3 +238,75 @@ def test_solve_rejects_n_vars_that_is_not_a_count(runner, tmp_path, n_vars):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert "error: formulation JSON n_vars" in result.output
+
+
+def test_score_tolerance_is_read_exactly(runner, berry_dataset, tmp_path):
+    # Gold limit 3000 against a predicted 3000.3: within a tolerance of
+    # exactly 0.3, but not of the float nearest to it.
+    gold = berry_problem().gold
+    first = gold[1]
+    moved = ir.constraint(first.direction_text, first.operator, Fraction("3000.3"),
+                          first.terms)
+    preds = tmp_path / "preds.txt"
+    preds.write_text(ir.serialize_declarations([gold[0], moved, gold[2]]) + "\n")
+    args = ["score", "--gold", str(berry_dataset), "--pred", str(preds)]
+    result = runner.invoke(main, args + ["--tol", "0.3"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["accuracy"] == 1.0
+    result = runner.invoke(main, args + ["--tol", "0.2999"])
+    assert json.loads(result.stdout)["accuracy"] == 1 - 2 / 3
+
+
+@pytest.mark.parametrize("tol", ["abc", "1/3", " 3"])
+def test_score_rejects_a_tolerance_that_is_not_a_number(runner, berry_dataset, tol):
+    result = runner.invoke(main, ["score", "--gold", str(berry_dataset),
+                                  "--pred", str(berry_dataset), "--tol", tol])
+    assert result.exit_code == 2
+
+
+def berry_line(**changes):
+    return json.dumps(dict(ingest.problem_to_record(berry_problem()), **changes))
+
+
+def invoke_on_line(runner, tmp_path, command, line):
+    path = tmp_path / "d.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    return runner.invoke(main, [command, "--in", str(path)])
+
+
+@pytest.mark.parametrize("command", ["canonicalize", "augment"])
+@pytest.mark.parametrize("changes", [
+    {"spans": [{"start": "0", "end": 5, "label": "PARAM"}]},
+    {"spans": [{"start": 0.0, "end": 5, "label": "PARAM"}]},
+    {"text": 5},
+    {"gold": [dict(ingest.declarations_to_gold(berry_problem().gold)[0],
+                   direction=5)]},
+    {"gold": [dict(ingest.declarations_to_gold(berry_problem().gold)[0], name=7)]},
+], ids=["start_string", "start_float", "text_int", "direction_int", "name_int"])
+def test_wrong_field_types_exit_one_without_traceback(runner, tmp_path, command,
+                                                       changes):
+    result = invoke_on_line(runner, tmp_path, command, berry_line(**changes))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("error: [line 1, field ")
+
+
+def test_canonicalize_keeps_every_digit_of_a_literal(runner, tmp_path):
+    line = berry_line().replace('"limit": "3000"', '"limit": 12345678901234567.5')
+    result = invoke_on_line(runner, tmp_path, "canonicalize", line)
+    assert result.exit_code == 0, result.output
+    (entry,) = json.loads(result.stdout)
+    assert entry["limits"][0] == "-12345678901234567.5"
+
+
+def test_cli_sample_of_type_mutations_never_shows_a_traceback(runner, tmp_path):
+    record = ingest.problem_to_record(berry_problem())
+    paths = list(json_paths(record))
+    for k, path in enumerate(paths[::3]):
+        value = MUTANT_VALUES[k % len(MUTANT_VALUES)]
+        line = json.dumps(replace_at(record, path, value))
+        for command in ("canonicalize", "augment"):
+            result = invoke_on_line(runner, tmp_path, command, line)
+            assert result.exit_code in (0, 1), (path, value, result.output)
+            assert result.exception is None or isinstance(
+                result.exception, SystemExit), (path, value, result.exception)

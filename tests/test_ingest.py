@@ -1,10 +1,15 @@
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from lpwp import ingest
+from lpwp import ingest, ir
+from lpwp.augment import augment_text
 from lpwp.canonical import canonicalize
 from lpwp.errors import (
     MappingError,
@@ -12,10 +17,18 @@ from lpwp.errors import (
     ValidationError,
 )
 from lpwp.ingest import EntitySpan, OrderMapping, Problem
-from lpwp.numbers import JsonNumbers
+from lpwp.ir import serialize_declarations
+from lpwp.numbers import JsonNumbers, decode_json
 from lpwp.solver import solve_lp
 
-from helpers import BERRY_GOLD_RECORDS, berry_problem, random_problem
+from helpers import (
+    BERRY_GOLD_RECORDS,
+    MUTANT_VALUES,
+    berry_problem,
+    json_paths,
+    random_problem,
+    replace_at,
+)
 
 
 def write_jsonl(path, records):
@@ -163,7 +176,7 @@ def test_gold_number_without_terminating_decimal_rejected(tmp_path, slot):
     with pytest.raises(ValidationError) as err:
         ingest.load_dataset(tmp_path / "d.jsonl")
     assert err.value.line == 1
-    assert "no terminating decimal expansion" in str(err.value)
+    assert "is not a number" in str(err.value)
 
 
 def test_gold_numbers_that_load_also_save(tmp_path):
@@ -226,6 +239,22 @@ def test_gold_declaration_variables_must_resolve():
         )
 
 
+OBJECTIVE_X = ir.objective("min", "n", {"x": Fraction(1)})
+
+
+@pytest.mark.parametrize("gold, field", [
+    ([ir.objective("reduce", "n", {"x": Fraction(1)})], "gold[0]"),
+    ([OBJECTIVE_X, ir.constraint("at most", ir.LESS_OR_EQUAL, 1, {"x": 0})],
+     "gold[1]"),
+    ([ir.constraint("at most", ir.LESS_OR_EQUAL, 1, {"x": 1})], "gold"),
+    ([OBJECTIVE_X, OBJECTIVE_X], "gold"),
+], ids=["direction_reduce", "zero_row", "no_objective", "two_objectives"])
+def test_problem_built_in_python_needs_gold_with_canonical_form(gold, field):
+    with pytest.raises(ValidationError) as err:
+        Problem("p", "x", [], OrderMapping({"x": 0}), gold=gold)
+    assert err.value.field == field
+
+
 def berry_record(**changes):
     return dict(ingest.problem_to_record(berry_problem()), **changes)
 
@@ -250,6 +279,36 @@ def test_load_rejects_wrong_json_shapes(tmp_path, changes, field):
     with pytest.raises(ValidationError) as err:
         ingest.load_dataset(tmp_path / "d.jsonl")
     assert (err.value.line, err.value.field) == (2, field)
+
+
+def lines_with_faults(n, faults):
+    """``n`` valid record lines, with the lines in ``faults`` replaced."""
+    lines = [json.dumps(berry_record(id=f"p{i}")) for i in range(n)]
+    for i, line in faults.items():
+        lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("faults, line, field", [
+    # Lines are read many at a time; the first fault in the file is reported.
+    ({100: json.dumps(berry_record(id="a", spans=[{"start": "0", "end": 1,
+                                                     "label": "VAR"}])),
+      140: json.dumps(berry_record(id="b", order_mapping=[]))},
+     101, "spans[0].start"),
+    # A later line's fault in an earlier field does not come first.
+    ({100: json.dumps(berry_record(id="a", gold=5)), 104: json.dumps(berry_record(id=5))},
+     101, "gold"),
+    ({3: json.dumps(berry_record(id="p1")), 5: json.dumps(berry_record(text=5))},
+     4, None),
+    ({5: json.dumps(berry_record(id="c", text=5)), 9: "{not json"}, 6, "text"),
+    ({5: "[]", 7: json.dumps(berry_record(id="d", gold=[]))}, 6, None),
+])
+def test_first_fault_in_the_file_is_reported(tmp_path, faults, line, field):
+    path = tmp_path / "d.jsonl"
+    path.write_text(lines_with_faults(150, faults), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(path)
+    assert (err.value.line, err.value.field) == (line, field)
 
 
 def test_shared_reader_rejects_true_after_reading_one(tmp_path):
@@ -308,3 +367,112 @@ def test_other_spelling_of_gold_variable_loads(tmp_path):
     form = canonicalize(problem.gold, problem.order_mapping)
     assert form.objective == [1, 1]
     assert form.constraints == [[-50, -70]]
+
+
+OBJ, LIN = BERRY_GOLD_RECORDS[0], BERRY_GOLD_RECORDS[1]
+
+
+def load_line(tmp_path, line):
+    path = tmp_path / "d.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    return ingest.load_dataset(path)
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"spans": [{"start": "0", "end": 5, "label": "PARAM"}]}, "spans[0].start"),
+    ({"spans": [{"start": 0.0, "end": 5, "label": "PARAM"}]}, "spans[0].start"),
+    ({"spans": [{"start": False, "end": 5, "label": "PARAM"}]}, "spans[0].start"),
+    ({"spans": [{"start": 0, "end": 5, "label": 5}]}, "spans[0].label"),
+    ({"text": 5}, "text"),
+    ({"gold": [dict(OBJ, direction=5), LIN]}, "gold[0].direction"),
+    ({"gold": [dict(OBJ, name=7), LIN]}, "gold[0].name"),
+    ({"gold": [OBJ, dict(LIN, direction=5)]}, "gold[1].direction"),
+    ({"gold": [{"type": "objvar", "direction": "min", "vars": ["farm 1"]}]},
+     "gold[0].name"),
+], ids=["start_string", "start_float", "start_false", "label_int", "text_int",
+        "objective_direction_int", "objective_name_int",
+        "constraint_direction_int", "name_missing"])
+def test_load_rejects_wrong_field_types(tmp_path, changes, field):
+    with pytest.raises(ValidationError) as err:
+        load_line(tmp_path, json.dumps(berry_record(**changes)))
+    assert (err.value.line, err.value.field) == (1, field)
+
+
+def test_gold_number_literals_load_exactly(tmp_path):
+    gold = [OBJ, dict(LIN, limit="@limit@", terms={"farm 1": "@coeff@"})]
+    line = (json.dumps(berry_record(gold=gold))
+            .replace('"@limit@"', "12345678901234567.5")
+            .replace('"@coeff@"', "0.30000000000000001"))
+    (problem,) = load_line(tmp_path, line)
+    assert problem.gold[1].limit == Fraction("12345678901234567.5")
+    assert problem.gold[1].terms == {"farm 1": Fraction("0.30000000000000001")}
+    form = canonicalize(problem.gold, problem.order_mapping).as_json_dict()
+    assert form["limits"] == ["-12345678901234567.5"]
+    ingest.save_dataset([problem], tmp_path / "saved.jsonl")
+    assert ingest.load_dataset(tmp_path / "saved.jsonl") == [problem]
+
+
+@pytest.mark.parametrize("literal", ["1e5000", '"1e5000"', '"1e999999999"',
+                                     "-1e-999999999"])
+def test_gold_numbers_beyond_the_digit_limit_rejected_at_load(tmp_path, literal):
+    gold = [OBJ, dict(LIN, limit="@limit@")]
+    line = json.dumps(berry_record(gold=gold)).replace('"@limit@"', literal)
+    with pytest.raises(ValidationError) as err:
+        load_line(tmp_path, line)
+    assert (err.value.line, err.value.field) == (1, "gold[1]")
+    assert "digits" in str(err.value)
+
+
+@pytest.mark.parametrize("gold, field", [
+    ([dict(OBJ, direction="reduce"), LIN], "gold[0]"),
+    ([OBJ, dict(LIN, terms={"farm 1": "0", "farm 2": 0})], "gold[1]"),
+    ([OBJ, dict(LIN, terms={"farm 1": 2, " Farm 1 ": "-2"})], "gold[1]"),
+    ([OBJ, LIN, OBJ], "gold"),
+    ([LIN], "gold"),
+], ids=["direction_reduce", "zero_row", "spellings_cancel", "two_objectives",
+        "no_objective"])
+def test_load_rejects_gold_without_canonical_form(tmp_path, gold, field):
+    with pytest.raises(ValidationError) as err:
+        load_line(tmp_path, json.dumps(berry_record(gold=gold)))
+    assert (err.value.line, err.value.field) == (1, field)
+
+
+def test_objective_direction_words_load_in_any_spelling(tmp_path):
+    gold = [dict(OBJ, direction=" Maximise "), LIN]
+    (problem,) = load_line(tmp_path, json.dumps(berry_record(gold=gold)))
+    assert canonicalize(problem.gold, problem.order_mapping).objective == [-1, -1]
+
+
+MUTATION_RECORDS = [ingest.problem_to_record(berry_problem())] + [
+    ingest.problem_to_record(random_problem(random.Random(n), f"r{n}"))
+    for n in range(3)
+]
+
+
+@seed(20261018)
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_type_mutations_are_rejected_or_round_trip(data):
+    """Replace one value, at any depth, with a value of any JSON type."""
+    record = data.draw(st.sampled_from(MUTATION_RECORDS))
+    path = data.draw(st.sampled_from(list(json_paths(record))))
+    value = data.draw(st.one_of(
+        st.sampled_from(MUTANT_VALUES), st.none(), st.booleans(), st.integers(),
+        st.floats(), st.text(max_size=12),
+        st.lists(st.integers(-2, 2), max_size=3),
+        st.dictionaries(st.text(max_size=4), st.integers(-2, 2), max_size=2),
+    ))
+    line = json.dumps(replace_at(record, path, value))
+    try:
+        problem = ingest.problem_from_record(decode_json(line), JsonNumbers(), line=1)
+    except ValidationError as err:
+        assert err.line == 1 and err.field, (path, value, err)
+        return
+    if problem.gold is not None:
+        canonicalize(problem.gold, problem.order_mapping)
+    augment_text(problem.text, problem.spans)
+    serialize_declarations(problem.gold or [])
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = Path(tmp) / "saved.jsonl"
+        ingest.save_dataset([problem], saved)
+        assert ingest.load_dataset(saved) == [problem]

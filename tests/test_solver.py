@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -255,3 +256,27 @@ def test_float_of_entries_is_numerator_over_denominator(fraction, integer):
     # solve_lp converts entries this way instead of with float().
     for v in (fraction, integer, Fraction(integer, 3**40)):
         assert (v.numerator / v.denominator).hex() == float(v).hex()
+
+
+def test_formulation_literals_are_read_exactly():
+    from lpwp.numbers import decode_json
+
+    data = decode_json('{"n_vars": 1, "objective": [0.30000000000000001], '
+                       '"constraints": [[1E-3]], "limits": [12345678901234567.5]}')
+    formulation = solver.formulation_from_json_dict(data)
+    assert formulation.objective == [Fraction("0.30000000000000001")]
+    assert formulation.constraints == [[Fraction(1, 1000)]]
+    assert formulation.limits == [Fraction("12345678901234567.5")]
+
+
+@pytest.mark.parametrize("data", [
+    {"n_vars": 1, "objective": ["1/2"], "constraints": [], "limits": []},
+    {"n_vars": 1, "objective": [[1]], "constraints": [], "limits": []},
+    {"n_vars": 1, "objective": [1], "constraints": [[True]], "limits": [1]},
+    # Python floats, as a plain json.loads gives them, even after an equal int.
+    json.loads('{"n_vars": 1, "objective": [2, 2.0], "constraints": [], "limits": []}'),
+    json.loads('{"n_vars": 1, "objective": [2.0], "constraints": [], "limits": []}'),
+])
+def test_formulation_numbers_outside_the_grammar_rejected(data):
+    with pytest.raises(StructureError, match="formulation JSON"):
+        solver.formulation_from_json_dict(data)
