@@ -3,7 +3,9 @@
 The canonical program is: minimize c'x subject to Ax <= b, x >= 0.
 Maximization objectives and >= constraints are brought into this form by
 inverting the signs of their multipliers (and limit). All arithmetic is
-exact; tolerances only matter for user-supplied floats.
+exact: every number is read from its decimal text into a rational, and a
+tolerance is compared exactly as well (``check_tolerance`` takes a float
+as the rational it stores).
 """
 
 from dataclasses import dataclass
@@ -109,12 +111,6 @@ def check_tolerance(tol) -> Fraction:
     return tol
 
 
-def forms_equal(a, b, tol: Fraction) -> bool:
-    """Whether two canonical forms have one kind and entries within ``tol``."""
-    (kind_a, va), (kind_b, vb) = a, b
-    return kind_a == kind_b and all(abs(x - y) <= tol for x, y in zip(va, vb))
-
-
 def declarations_equal(a, b, mapping: OrderMapping, tol=DEFAULT_TOLERANCE) -> bool:
     """Canonical equality: entry-wise within ``tol``, kinds matching.
 
@@ -123,8 +119,9 @@ def declarations_equal(a, b, mapping: OrderMapping, tol=DEFAULT_TOLERANCE) -> bo
     if a.kind != b.kind:
         return False
     tol = check_tolerance(tol)
-    return forms_equal(canonicalize_declaration(a, mapping),
-                       canonicalize_declaration(b, mapping), tol)
+    _, va = canonicalize_declaration(a, mapping)
+    _, vb = canonicalize_declaration(b, mapping)
+    return all(abs(x - y) <= tol for x, y in zip(va, vb))
 
 
 def render_algebraic(decls, mapping: OrderMapping) -> str:

@@ -8,10 +8,11 @@ repaired.
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from . import ir
@@ -115,6 +116,9 @@ class OrderMapping:
         return [by_index[i] for i in range(len(by_index))]
 
 
+_SPAN_ORDER = attrgetter("start", "end")
+
+
 @dataclass
 class Problem:
     id: str
@@ -124,10 +128,29 @@ class Problem:
     gold: Optional[list] = None  # list of ir.Declaration
 
     def __post_init__(self):
-        self.spans = sorted(self.spans, key=lambda s: (s.start, s.end))
+        self.spans = sorted(self.spans, key=_SPAN_ORDER)
         self.validate()
 
+    def with_spans(self, spans) -> "Problem":
+        """A copy of this problem with ``spans`` in place of its spans.
+
+        Only the spans are checked: the text, order mapping and gold are
+        this problem's, which passed their checks when it was built.
+        """
+        problem = object.__new__(Problem)  # __post_init__ would check all
+        # Set in field order, as __init__ does, so that instances share
+        # one key table and stay as small as built ones.
+        problem.id, problem.text = self.id, self.text
+        problem.spans = sorted(spans, key=_SPAN_ORDER)
+        problem.order_mapping, problem.gold = self.order_mapping, self.gold
+        problem._validate_spans()
+        return problem
+
     def validate(self):
+        self._validate_spans()
+        self._validate_gold()
+
+    def _validate_spans(self):
         check_spans(self.text, self.spans)
         for span in self.spans:
             if span.label != "VAR":
@@ -143,6 +166,8 @@ class Problem:
                     "problem %s: VAR span %r does not resolve in the order "
                     "mapping", self.id, name,
                 )
+
+    def _validate_gold(self):
         if self.gold is None:
             return
         entries = self.order_mapping.entries
@@ -472,6 +497,34 @@ def problem_to_record(problem: Problem) -> dict:
     return record
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# Only a \u escape puts a surrogate into a decoded string; a line without
+# one needs no closer look.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _lone_surrogate_at(value, path):
+    """The field path of the first string in ``value`` that holds a
+    surrogate, or None. JSON decoding joins an escaped pair into one
+    character, so such a surrogate is unpaired. A bad key is reported at
+    its object."""
+    if type(value) is str:
+        return path if _SURROGATE.search(value) else None
+    if type(value) is dict:
+        if any(map(_SURROGATE.search, value)):
+            return path
+        steps = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
+    elif type(value) is list:
+        steps = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for step, item in steps:
+        found = _lone_surrogate_at(item, step)
+        if found is not None:
+            return found
+    return None
+
+
 # load_dataset reads lines together until they hold this many characters:
 # fewer lines of large problems keep the batch's memory small.
 _BATCH_CHARS = 1 << 16
@@ -505,10 +558,19 @@ def load_dataset(path) -> list:
             if not line.strip():
                 continue
             try:
-                batch.append((line_no, decode_json(line)))
+                record = decode_json(line)
             except ValueError as err:
                 add(batch)  # a fault on an earlier line comes first
                 raise ValidationError(f"malformed JSON: {err}", line=line_no)
+            if "\\" in line and _SURROGATE_ESCAPE.search(line):
+                where = _lone_surrogate_at(record, "")
+                if where is not None:
+                    add(batch)
+                    raise ValidationError(
+                        "string holds an unpaired surrogate escape, which "
+                        "UTF-8 cannot encode", line=line_no, field=where or None,
+                    )
+            batch.append((line_no, record))
             size += len(line)
             if size >= _BATCH_CHARS:
                 add(batch)

@@ -11,13 +11,22 @@ paths: at a positive tolerance that equality is not transitive, so greedy
 matching could miss pairs. A predicted declaration with no canonical form
 (an unknown variable, a direction neither min nor max, an all-zero row)
 matches nothing and counts as one FP.
+
+An example's canonical forms are compared as integers at one scale ``S``,
+the least common multiple of all their entries' denominators; this is exact
+at any rational tolerance ``tol``. When ``floor(tol * S)`` is 0, as at the
+default 1e-9 unless a number has 9 or more decimal places, closeness is
+equality, and each prediction finds its gold partners in an exact-match
+index instead of by pairwise comparison.
 """
 
 from collections import Counter
 from dataclasses import asdict, dataclass
+from fractions import Fraction
+from math import lcm
 
 from .canonical import (
-    DEFAULT_TOLERANCE, canonicalize_declaration, check_tolerance, forms_equal,
+    DEFAULT_TOLERANCE, canonicalize_declaration, check_tolerance,
 )
 from .errors import MappingError, StructureError, ValidationError
 
@@ -60,23 +69,54 @@ class F1Report:
         return asdict(self)
 
 
-def _match_count(pred, gold, mapping, tol) -> int:
+def _close(a, b, bound: int) -> bool:
+    """Whether two scaled forms have one kind and entries within ``bound``."""
+    (kind_a, va), (kind_b, vb) = a, b
+    return kind_a == kind_b and all(abs(x - y) <= bound for x, y in zip(va, vb))
+
+
+def _match_count(pred, gold, mapping, tol: Fraction) -> int:
     """Size of a maximum one-to-one matching under canonical equality.
 
-    Each declaration is canonicalized once; the matching is grown one
-    prediction at a time along augmenting paths (Kuhn's algorithm).
+    Each declaration is canonicalized once. The example's forms are scaled
+    to integers by ``S``, the least common multiple of their entries'
+    denominators, so two entries are within ``tol`` exactly when their
+    scaled difference, an integer, is at most ``floor(tol * S)``. The
+    matching is grown one prediction at a time along augmenting paths
+    (Kuhn's algorithm).
     """
     gold_forms = [canonicalize_declaration(g, mapping) for g in gold]
-    edges = []  # per prediction, the indices of the gold it may match
+    pred_forms = []
     for p in pred:
         try:
-            form = canonicalize_declaration(p, mapping)
+            pred_forms.append(canonicalize_declaration(p, mapping))
         except (MappingError, StructureError):
-            edges.append([])
-            continue
-        edges.append(
-            [j for j, g in enumerate(gold_forms) if forms_equal(form, g, tol)]
-        )
+            pred_forms.append(None)  # matches nothing
+    scale = lcm(*{v.denominator for form in gold_forms + pred_forms if form
+                  for v in form[1]})
+
+    def scaled(form):
+        if form is None:
+            return None
+        kind, vector = form
+        return kind, tuple([v.numerator * (scale // v.denominator) for v in vector])
+
+    gold_keys = list(map(scaled, gold_forms))
+    pred_keys = map(scaled, pred_forms)
+    bound = tol.numerator * scale // tol.denominator
+    if bound == 0:
+        # Closeness is equality, which is transitive: look each form up. A
+        # prediction without a form (None) finds nothing.
+        index = {}
+        for j, key in enumerate(gold_keys):
+            index.setdefault(key, []).append(j)
+        edges = [index.get(key, ()) for key in pred_keys]
+    else:
+        edges = [
+            [j for j, g in enumerate(gold_keys) if _close(key, g, bound)]
+            if key else ()
+            for key in pred_keys
+        ]
     owner = [None] * len(gold)  # gold index -> matched prediction index
 
     def augment(i, visited):

@@ -10,7 +10,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 
-from .ingest import LABELS, EntitySpan, Problem
+from .ingest import LABELS, EntitySpan
 from .metrics import F1Report, micro_f1
 
 logger = logging.getLogger(__name__)
@@ -102,13 +102,7 @@ def corrupt_spans(problems, cfg: NoiseConfig):
             current[pi][si] = moved
 
     noisy = [
-        Problem(
-            id=problem.id,
-            text=problem.text,
-            spans=sorted(spans.values(), key=lambda s: (s.start, s.end)),
-            order_mapping=problem.order_mapping,
-            gold=problem.gold,
-        )
+        problem.with_spans(spans.values())
         for problem, spans in zip(problems, current)
     ]
     report = micro_f1(

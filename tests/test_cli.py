@@ -257,6 +257,23 @@ def test_score_tolerance_is_read_exactly(runner, berry_dataset, tmp_path):
     assert json.loads(result.stdout)["accuracy"] == 1 - 2 / 3
 
 
+@pytest.mark.parametrize("tol, errors", [("0.25", 0), ("0.2499999999", 1)])
+def test_score_tolerance_boundary(runner, berry_dataset, tmp_path, tol, errors):
+    # Gold limit 3000 against a predicted 3000.25: a difference of exactly
+    # the tolerance matches, one a hair above it does not.
+    gold = berry_problem().gold
+    first = gold[1]
+    moved = ir.constraint(first.direction_text, first.operator,
+                          Fraction("3000.25"), first.terms)
+    preds = tmp_path / "preds.txt"
+    preds.write_text(ir.serialize_declarations([gold[0], moved, gold[2]]) + "\n")
+    result = runner.invoke(main, ["score", "--gold", str(berry_dataset),
+                                  "--pred", str(preds), "--tol", tol])
+    assert result.exit_code == 0, result.output
+    (example,) = json.loads(result.stdout)["per_example"]
+    assert (example["D"], example["FP"], example["FN"]) == (3, errors, errors)
+
+
 @pytest.mark.parametrize("tol", ["abc", "1/3", " 3"])
 def test_score_rejects_a_tolerance_that_is_not_a_number(runner, berry_dataset, tol):
     result = runner.invoke(main, ["score", "--gold", str(berry_dataset),
@@ -289,6 +306,18 @@ def test_wrong_field_types_exit_one_without_traceback(runner, tmp_path, command,
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.output.startswith("error: [line 1, field ")
+
+
+def test_noise_rejects_a_lone_surrogate_without_writing(runner, tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text(berry_line(text="x\ud800", spans=[]) + "\n", encoding="utf-8")
+    out = tmp_path / "noisy.jsonl"
+    result = runner.invoke(main, ["noise", "--p", "0.5", "--seed", "1",
+                                  "--in", str(path), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("error: [line 1, field text]")
+    assert not out.exists()
 
 
 def test_canonicalize_keeps_every_digit_of_a_literal(runner, tmp_path):

@@ -23,6 +23,7 @@ from lpwp.solver import solve_lp
 
 from helpers import (
     BERRY_GOLD_RECORDS,
+    BERRY_TEXT,
     MUTANT_VALUES,
     berry_problem,
     json_paths,
@@ -302,6 +303,9 @@ def lines_with_faults(n, faults):
      4, None),
     ({5: json.dumps(berry_record(id="c", text=5)), 9: "{not json"}, 6, "text"),
     ({5: "[]", 7: json.dumps(berry_record(id="d", gold=[]))}, 6, None),
+    ({3: json.dumps(berry_record(id="e", gold=5)),
+      5: json.dumps(berry_record(id="f", text="x\ud800"))}, 4, "gold"),
+    ({5: json.dumps(berry_record(id="g", text="x\ud800")), 9: "{not json"}, 6, "text"),
 ])
 def test_first_fault_in_the_file_is_reported(tmp_path, faults, line, field):
     path = tmp_path / "d.jsonl"
@@ -396,6 +400,44 @@ def test_load_rejects_wrong_field_types(tmp_path, changes, field):
     with pytest.raises(ValidationError) as err:
         load_line(tmp_path, json.dumps(berry_record(**changes)))
     assert (err.value.line, err.value.field) == (1, field)
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"text": BERRY_TEXT + "\ud800"}, "text"),
+    ({"id": "\udfff"}, "id"),
+    ({"spans": [{"start": 0, "end": 5, "label": "VAR\udc00"}]}, "spans[0].label"),
+    ({"gold": [dict(OBJ, name="cost\ud83d"), LIN]}, "gold[0].name"),
+    ({"gold": [OBJ, dict(LIN, terms={"farm 1\ud800": "1"})]}, "gold[1].terms"),
+    ({"order_mapping": {"farm 1": 0, "farm 2\ude00": 1}}, "order_mapping"),
+    ({"note": ["\ud800"]}, "note[0]"),
+], ids=["text", "id", "span_label", "objective_name", "terms_key",
+        "mapping_key", "unknown_field"])
+def test_load_rejects_a_lone_surrogate(tmp_path, changes, field):
+    # json.dumps writes a lone surrogate as a \u escape.
+    write_jsonl(tmp_path / "d.jsonl",
+                [berry_record(), berry_record(**{"id": "second", **changes})])
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert (err.value.line, err.value.field) == (2, field)
+    assert "surrogate" in err.value.message
+
+
+def test_upper_case_lone_surrogate_escape_rejected(tmp_path):
+    line = json.dumps(berry_record(text="x\udc0f")).replace("\\udc0f", "\\uDC0F")
+    assert "\\uDC0F" in line
+    with pytest.raises(ValidationError) as err:
+        load_line(tmp_path, line)
+    assert (err.value.line, err.value.field) == (1, "text")
+
+
+def test_surrogate_pair_escape_loads_and_round_trips(tmp_path):
+    text = BERRY_TEXT + " \U0001F600"
+    line = json.dumps(berry_record(text=text))
+    assert "\\ud83d\\ude00" in line
+    (loaded,) = load_line(tmp_path, line)
+    assert loaded.text == text
+    ingest.save_dataset([loaded], tmp_path / "again.jsonl")
+    assert ingest.load_dataset(tmp_path / "again.jsonl") == [loaded]
 
 
 def test_gold_number_literals_load_exactly(tmp_path):

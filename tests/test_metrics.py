@@ -119,17 +119,18 @@ def test_prediction_without_canonical_form_counts_as_one_fp(bad):
     assert (example.d, example.fp, example.fn) == (2, 1, 0)
 
 
-def random_side(rng, var_names, mapping, max_len=6, min_len=0):
+def random_side(rng, var_names, mapping, max_len=6, min_len=0,
+                coefficient=lambda rng: Fraction(rng.randint(1, 3)),
+                limit=lambda rng: Fraction(rng.randint(1, 4))):
     # Small coefficient pool so that equal declarations actually occur.
     def decl():
         d = random_declaration(rng, var_names)
-        terms = {v: Fraction(rng.randint(1, 3)) for v in d.terms}
+        terms = {v: coefficient(rng) for v in d.terms}
         if d.kind == ir.OBJECTIVE:
             return ir.Declaration(ir.OBJECTIVE, d.direction_text, terms,
                                   name=d.name)
         return ir.Declaration(ir.CONSTRAINT, d.direction_text, terms,
-                              operator=d.operator,
-                              limit=Fraction(rng.randint(1, 4)))
+                              operator=d.operator, limit=limit(rng))
 
     return [decl() for _ in range(rng.randint(min_len, max_len))]
 
@@ -235,3 +236,62 @@ def test_micro_f1_duplicates_match_with_multiplicity():
     report = micro_f1(ref, hyp)
     assert (report.true_positives, report.false_positives,
             report.false_negatives) == (2, 1, 0)
+
+
+# Mixed decimal denominators: the example's scale runs from 1 to 10**10,
+# 2 and 2.0000000001 are within 1e-9 only, and 0.5, 0.625, 0.75 chain at
+# 0.125 but 0.5 and 0.75 do not meet, so closeness is not transitive.
+MIXED_POOL = [Fraction(v) for v in (
+    "0.5", "0.625", "0.75", "1.25", "3", "0.001", "2", "2.0000000001",
+)]
+
+
+def mixed_number(rng):
+    return rng.choice(MIXED_POOL)
+
+
+@pytest.mark.parametrize("tol", [
+    0, Fraction(1, 10**9), 1e-9, Fraction(1, 3), Fraction("0.125"), 1,
+], ids=["0", "1/10**9", "float_1e-9", "1/3", "0.125", "1"])
+def test_oracle_equivalence_on_mixed_denominators(tol):
+    rng = random.Random(20261018)
+    var_names = ["a 0", "b 1"]
+    mapping = OrderMapping({name: i for i, name in enumerate(var_names)})
+    for _ in range(300):
+        gold, pred = (
+            random_side(rng, var_names, mapping, max_len=5, min_len=min_len,
+                        coefficient=mixed_number, limit=mixed_number)
+            for min_len in (1, 0)
+        )
+        report = score_accuracy({"e": gold}, {"e": pred}, {"e": mapping}, tol)
+        example = report.per_example[0]
+        matched = oracle_max_matching(pred, gold, mapping, tol)
+        assert example.fp == len(pred) - matched
+        assert example.fn == len(gold) - matched
+
+
+@pytest.mark.parametrize("tol, pred_limit, matches", [
+    (Fraction("0.125"), "1.125", True),
+    (Fraction("0.125"), "0.875", True),
+    (Fraction("0.125"), "1.1250000001", False),
+    (Fraction("0.125"), "0.8749999999", False),
+    (Fraction(1, 3), "1.333", True),
+    (Fraction(1, 3), "0.667", True),
+    (Fraction(1, 3), "1.334", False),
+    (Fraction(1, 3), "0.666", False),
+    # In floats 0.29 * 100 is 28.999999999999996.
+    (Fraction("0.29"), "1.29", True),
+    (Fraction("0.29"), "1.2900000001", False),
+])
+def test_tolerance_boundary_is_exact(tol, pred_limit, matches):
+    mapping = OrderMapping({"x": 0})
+
+    def row(limit):
+        return ir.constraint("at most", ir.LESS_OR_EQUAL, Fraction(limit),
+                             {"x": Fraction(1)})
+
+    gold, pred = row(1), row(pred_limit)
+    report = score_accuracy({"e": [gold]}, {"e": [pred]}, {"e": mapping}, tol)
+    example = report.per_example[0]
+    assert (example.fp, example.fn) == ((0, 0) if matches else (1, 1))
+    assert declarations_equal(pred, gold, mapping, tol) is matches

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from lpwp.ingest import EntitySpan, OrderMapping, Problem
+from lpwp.ingest import EntitySpan, OrderMapping, Problem, save_dataset
 from lpwp.noise import NoiseConfig, corrupt_spans
 
-from helpers import berry_problem
+from helpers import berry_problem, random_problem
 
 
 def make_corpus(n_problems, spans_per_problem, labels=None):
@@ -138,6 +138,32 @@ def test_impossible_shift_falls_back_to_drop():
     noisy, _ = corrupt_spans(problems, NoiseConfig(p=1.0, seed=0, shift_max=1))
     total = sum(len(p.spans) for p in noisy)
     assert total == 1  # only the mislabeled span survives
+
+
+def test_noisy_problems_and_warnings_equal_a_full_rebuild(caplog, tmp_path):
+    # Noisy problems are checked on their spans only; building each one
+    # with Problem(...), which checks everything, must give the same
+    # problems, file and warnings. Single-character problems add shifts
+    # that fall back to a drop.
+    rng = random.Random(20261018)
+    problems = [random_problem(rng, f"p{i}") for i in range(300)]
+    for i in range(0, 300, 50):
+        problems.insert(i, Problem(f"a{i}", "a", [EntitySpan(0, 1, "PARAM")],
+                                   OrderMapping({})))
+    with caplog.at_level(logging.WARNING, logger="lpwp.ingest"):
+        noisy, _ = corrupt_spans(problems, NoiseConfig(p=0.6, seed=7))
+        warnings = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        rebuilt = [Problem(p.id, p.text, p.spans, p.order_mapping, p.gold)
+                   for p in noisy]
+        rebuild_warnings = [r.getMessage() for r in caplog.records]
+    shift_warnings = [w for w in warnings if "no legal boundary shift" in w]
+    assert shift_warnings and rebuild_warnings
+    assert warnings == shift_warnings + rebuild_warnings
+    assert noisy == rebuilt
+    save_dataset(noisy, tmp_path / "noisy.jsonl")
+    save_dataset(rebuilt, tmp_path / "rebuilt.jsonl")
+    assert (tmp_path / "noisy.jsonl").read_bytes() == (tmp_path / "rebuilt.jsonl").read_bytes()
 
 
 def test_invalid_config_rejected():
