@@ -23,7 +23,7 @@ from .ingest import (
 )
 from .ir import Declaration, parse_declarations, serialize_declarations
 from .metrics import F1Report, ScoreReport, micro_f1, score_accuracy
-from .noise import NoiseConfig, corrupt_spans
+from .noise import NoiseConfig, NoiseReport, corrupt_spans
 from .solver import LpSolution, solve_lp
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "F1Report",
     "LpSolution",
     "NoiseConfig",
+    "NoiseReport",
     "OrderMapping",
     "Problem",
     "ScoreReport",

@@ -15,11 +15,9 @@ _TAG_RE = re.compile(r"<(/?)([A-Z_][A-Z_0-9]*)>")
 
 def augment_text(text: str, spans) -> str:
     """Wrap every span of ``text`` in tags named after its label."""
-    spans = sorted(spans, key=lambda s: (s.start, s.end))
-    check_spans(text, spans)
     parts = []
     cursor = 0
-    for span in spans:
+    for span in check_spans(text, spans):
         parts.append(text[cursor:span.start])
         parts.append(f"<{span.label}> {text[span.start:span.end]} </{span.label}>")
         cursor = span.end

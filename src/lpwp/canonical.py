@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import ir
 from .errors import StructureError
-from .ingest import MAX_WORDS, MIN_WORDS, OrderMapping, normalize_name
+from .ingest import OrderMapping, objective_sign
 from .numbers import format_number
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
@@ -35,18 +35,6 @@ class CanonicalFormulation:
             ],
             "limits": [format_number(v) for v in self.limits],
         }
-
-
-def _objective_sign(direction_text: str) -> int:
-    word = normalize_name(direction_text)
-    if word in MIN_WORDS:
-        return 1
-    if word in MAX_WORDS:
-        return -1
-    raise StructureError(
-        f"objective direction {direction_text!r} is neither minimize nor "
-        f"maximize"
-    )
 
 
 _ZERO = Fraction(0)
@@ -76,7 +64,7 @@ def canonicalize_declaration(decl, mapping: OrderMapping):
     """
     vector = _terms_to_vector(decl.terms, mapping)
     if decl.kind == ir.OBJECTIVE:
-        invert = _objective_sign(decl.direction_text) == -1
+        invert = objective_sign(decl.direction_text) == -1
     else:
         if all(v == 0 for v in vector):
             raise StructureError("constraint row has no nonzero entry")
@@ -141,7 +129,7 @@ def render_algebraic(decls, mapping: OrderMapping) -> str:
     lines = []
     for decl in decls:
         if decl.kind == ir.OBJECTIVE:
-            word = "min" if _objective_sign(decl.direction_text) == 1 else "max"
+            word = "min" if objective_sign(decl.direction_text) == 1 else "max"
             lines.append(f"{word} {linear_expr(decl.terms)}")
         else:
             op = "<=" if decl.operator == ir.LESS_OR_EQUAL else ">="

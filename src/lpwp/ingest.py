@@ -7,7 +7,7 @@ repaired.
 """
 
 import json
-import logging
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,22 +16,31 @@ from operator import attrgetter, itemgetter
 from typing import Optional
 
 from . import ir
-from .errors import MappingError, UnsupportedDeclarationError, ValidationError
+from .errors import (MappingError, StructureError, UnsupportedDeclarationError,
+                     ValidationError)
 from .numbers import JsonNumbers, Literal, decode_json, format_number
-
-logger = logging.getLogger(__name__)
 
 LABELS = ("CONST_DIR", "LIMIT", "OBJ_DIR", "OBJ_NAME", "PARAM", "VAR")
 
 # Objective direction words, after normalize_name.
 MIN_WORDS = frozenset({"min", "minimize", "minimise", "minimization", "minimisation"})
 MAX_WORDS = frozenset({"max", "maximize", "maximise", "maximization", "maximisation"})
-_DIRECTIONS = MIN_WORDS | MAX_WORDS
+_SIGNS = {**dict.fromkeys(MIN_WORDS, 1), **dict.fromkeys(MAX_WORDS, -1)}
 
 
 def normalize_name(name: str) -> str:
     """Collapse whitespace runs and fold case for variable-name matching."""
     return " ".join(name.split()).casefold()
+
+
+def objective_sign(direction_text: str) -> int:
+    """1 for a minimize word and -1 for a maximize word, in any spelling."""
+    # Most directions are spelled as listed and need no normalizing.
+    sign = _SIGNS.get(direction_text) or _SIGNS.get(normalize_name(direction_text))
+    if sign is None:
+        raise StructureError(f"objective direction {direction_text!r} is "
+                             "neither minimize nor maximize")
+    return sign
 
 
 @dataclass(frozen=True)
@@ -41,11 +50,10 @@ class EntitySpan:
     label: str
 
 
-def check_spans(text: str, spans) -> None:
-    """Reject unknown labels, out-of-bounds spans and overlaps.
-
-    ``spans`` must be sorted by ``(start, end)``.
-    """
+def check_spans(text: str, spans) -> list:
+    """``spans`` sorted by ``(start, end)``; rejects unknown labels,
+    out-of-bounds spans and overlaps."""
+    spans = sorted(spans, key=attrgetter("start", "end"))
     for span in spans:
         if span.label not in LABELS:
             raise ValidationError(
@@ -64,6 +72,7 @@ def check_spans(text: str, spans) -> None:
                 f"({b.start}, {b.end}, {b.label})",
                 field="spans",
             )
+    return spans
 
 
 @dataclass(frozen=True)
@@ -116,9 +125,6 @@ class OrderMapping:
         return [by_index[i] for i in range(len(by_index))]
 
 
-_SPAN_ORDER = attrgetter("start", "end")
-
-
 @dataclass
 class Problem:
     id: str
@@ -128,8 +134,8 @@ class Problem:
     gold: Optional[list] = None  # list of ir.Declaration
 
     def __post_init__(self):
-        self.spans = sorted(self.spans, key=_SPAN_ORDER)
-        self.validate()
+        self.spans = check_spans(self.text, self.spans)
+        self._validate_gold()
 
     def with_spans(self, spans) -> "Problem":
         """A copy of this problem with ``spans`` in place of its spans.
@@ -141,31 +147,13 @@ class Problem:
         # Set in field order, as __init__ does, so that instances share
         # one key table and stay as small as built ones.
         problem.id, problem.text = self.id, self.text
-        problem.spans = sorted(spans, key=_SPAN_ORDER)
+        problem.spans = check_spans(self.text, spans)
         problem.order_mapping, problem.gold = self.order_mapping, self.gold
-        problem._validate_spans()
         return problem
 
     def validate(self):
-        self._validate_spans()
-        self._validate_gold()
-
-    def _validate_spans(self):
         check_spans(self.text, self.spans)
-        for span in self.spans:
-            if span.label != "VAR":
-                continue
-            name = self.text[span.start:span.end]
-            try:
-                self.order_mapping.resolve(name)
-            except MappingError:
-                # Noisy datasets legitimately contain VAR spans that no
-                # longer name a variable (e.g. after mislabeling), so this
-                # is reported but not fatal.
-                logger.warning(
-                    "problem %s: VAR span %r does not resolve in the order "
-                    "mapping", self.id, name,
-                )
+        self._validate_gold()
 
     def _validate_gold(self):
         if self.gold is None:
@@ -185,12 +173,10 @@ class Problem:
                     terms[column] = terms.get(column, 0) + coeff
             if decl.kind == ir.OBJECTIVE:
                 objectives += 1
-                word = decl.direction_text
-                if word not in _DIRECTIONS and normalize_name(word) not in _DIRECTIONS:
-                    raise ValidationError(
-                        f"objective direction {word!r} is neither minimize "
-                        f"nor maximize", field=f"gold[{i}]",
-                    )
+                try:
+                    objective_sign(decl.direction_text)
+                except StructureError as err:
+                    raise ValidationError(str(err), field=f"gold[{i}]") from None
             elif not any(terms.values()):
                 raise ValidationError(
                     "constraint row has no nonzero entry", field=f"gold[{i}]"
@@ -580,8 +566,28 @@ def load_dataset(path) -> list:
 
 
 def save_dataset(problems, path) -> None:
-    """Write problems as JSONL; round-trips exactly through load_dataset."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for problem in problems:
-            fh.write(json.dumps(problem_to_record(problem), ensure_ascii=False))
-            fh.write("\n")
+    """Write problems as JSONL; round-trips exactly through load_dataset.
+
+    The lines go to a file beside ``path`` that replaces it once the last
+    is written, so a problem that cannot be written leaves ``path`` as it was.
+    """
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as fh:
+            for problem in problems:
+                try:
+                    record = problem_to_record(problem)
+                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                except ValidationError as err:
+                    raise ValidationError(f"problem {problem.id!r}: {err.message}",
+                                          field=err.field) from None
+                except UnicodeEncodeError:
+                    raise ValidationError(
+                        f"problem {problem.id!r}: string holds an unpaired "
+                        "surrogate, which UTF-8 cannot encode",
+                        field=_lone_surrogate_at(record, "") or None,
+                    ) from None
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):  # not replaced: a problem could not be written
+            os.remove(temp)

@@ -180,7 +180,8 @@ def _parse_terms(stream):
         pos = stream.here()
         var = stream.content("VAR")
         stream.expect("[TIMES]")
-        coeff = _parse_coefficient(stream.content("PARAM"), stream.here())
+        param_pos = stream.here()
+        coeff = _parse_coefficient(stream.content("PARAM"), param_pos)
         if var in terms:
             duplicates.append((var, pos))
             terms[var] += coeff

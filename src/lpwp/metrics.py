@@ -16,8 +16,8 @@ An example's canonical forms are compared as integers at one scale ``S``,
 the least common multiple of all their entries' denominators; this is exact
 at any rational tolerance ``tol``. When ``floor(tol * S)`` is 0, as at the
 default 1e-9 unless a number has 9 or more decimal places, closeness is
-equality, and each prediction finds its gold partners in an exact-match
-index instead of by pairwise comparison.
+equality, and a maximum matching pairs equal forms by count, with no
+pairwise comparison.
 """
 
 from collections import Counter
@@ -81,9 +81,9 @@ def _match_count(pred, gold, mapping, tol: Fraction) -> int:
     Each declaration is canonicalized once. The example's forms are scaled
     to integers by ``S``, the least common multiple of their entries'
     denominators, so two entries are within ``tol`` exactly when their
-    scaled difference, an integer, is at most ``floor(tol * S)``. The
-    matching is grown one prediction at a time along augmenting paths
-    (Kuhn's algorithm).
+    scaled difference, an integer, is at most ``floor(tol * S)``. When that
+    bound is 1 or more, the matching is grown one prediction at a time
+    along augmenting paths (Kuhn's algorithm).
     """
     gold_forms = [canonicalize_declaration(g, mapping) for g in gold]
     pred_forms = []
@@ -105,18 +105,15 @@ def _match_count(pred, gold, mapping, tol: Fraction) -> int:
     pred_keys = map(scaled, pred_forms)
     bound = tol.numerator * scale // tol.denominator
     if bound == 0:
-        # Closeness is equality, which is transitive: look each form up. A
-        # prediction without a form (None) finds nothing.
-        index = {}
-        for j, key in enumerate(gold_keys):
-            index.setdefault(key, []).append(j)
-        edges = [index.get(key, ()) for key in pred_keys]
-    else:
-        edges = [
-            [j for j, g in enumerate(gold_keys) if _close(key, g, bound)]
-            if key else ()
-            for key in pred_keys
-        ]
+        # Closeness is equality, which is transitive, so each form pairs
+        # with as many equal forms as the other side holds. A prediction
+        # without a form (None) pairs with nothing.
+        return sum((Counter(gold_keys) & Counter(filter(None, pred_keys))).values())
+    edges = [
+        [j for j, g in enumerate(gold_keys) if _close(key, g, bound)]
+        if key else ()
+        for key in pred_keys
+    ]
     owner = [None] * len(gold)  # gold index -> matched prediction index
 
     def augment(i, visited):

@@ -6,14 +6,11 @@ result never contains overlapping spans, and identical inputs plus config
 always produce identical outputs.
 """
 
-import logging
 import random
 from dataclasses import dataclass, replace
 
 from .ingest import LABELS, EntitySpan
 from .metrics import F1Report, micro_f1
-
-logger = logging.getLogger(__name__)
 
 SHIFT_RETRIES = 64
 
@@ -29,6 +26,17 @@ class NoiseConfig:
             raise ValueError("corruption fraction p must be in [0, 1]")
         if self.shift_max < 1:
             raise ValueError("shift_max must be positive")
+
+
+@dataclass
+class NoiseReport(F1Report):
+    """Span F1 of the noisy corpus against its input, and how many selected
+    spans were dropped, mislabeled, shifted, or dropped for want of a shift."""
+
+    n_drop: int
+    n_mislabel: int
+    n_shift: int
+    n_shift_fallback: int
 
 
 def _overlaps(a: EntitySpan, b: EntitySpan) -> bool:
@@ -53,7 +61,7 @@ def _try_shift(span, others, text_len, rng, shift_max):
 
 
 def corrupt_spans(problems, cfg: NoiseConfig):
-    """Corrupt round(p * total_spans) spans; returns (noisy problems, F1Report).
+    """Corrupt round(p * total_spans) spans; returns (noisy problems, NoiseReport).
 
     Selected spans are split into near-equal drop / mislabel / shift groups
     (remainder assigned in that fixed order). A shift that cannot be placed
@@ -85,6 +93,7 @@ def corrupt_spans(problems, cfg: NoiseConfig):
         span = current[pi][si]
         other_labels = [l for l in LABELS if l != span.label]
         current[pi][si] = replace(span, label=rng.choice(other_labels))
+    fallbacks = 0
     for pi, si in shifts:
         span = current[pi][si]
         others = [s for i, s in current[pi].items() if i != si]
@@ -92,11 +101,7 @@ def corrupt_spans(problems, cfg: NoiseConfig):
             span, others, len(problems[pi].text), rng, cfg.shift_max
         )
         if moved is None:
-            logger.warning(
-                "problem %s: no legal boundary shift for span (%d, %d, %s); "
-                "dropping it instead",
-                problems[pi].id, span.start, span.end, span.label,
-            )
+            fallbacks += 1
             del current[pi][si]
         else:
             current[pi][si] = moved
@@ -105,8 +110,11 @@ def corrupt_spans(problems, cfg: NoiseConfig):
         problem.with_spans(spans.values())
         for problem, spans in zip(problems, current)
     ]
-    report = micro_f1(
+    f1 = micro_f1(
         {p.id: p.spans for p in problems},
         {p.id: p.spans for p in noisy},
     )
-    return noisy, report
+    return noisy, NoiseReport(
+        **vars(f1), n_drop=len(drops), n_mislabel=len(mislabels),
+        n_shift=len(shifts) - fallbacks, n_shift_fallback=fallbacks,
+    )

@@ -2,7 +2,6 @@
 
 import contextlib
 import json
-import logging
 import random
 import time
 from fractions import Fraction
@@ -120,17 +119,13 @@ def test_criterion_5_table3_reproduction():
     with criterion(5, "micro-F1 after corruption falls in the published "
                       "brackets at p=0.2 and p=0.5"):
         started = time.monotonic()
-        logging.getLogger("lpwp.ingest").setLevel(logging.ERROR)
-        try:
-            problems = make_corpus(500, 24)  # 12,000 spans
-            _, report_02 = noise.corrupt_spans(
-                problems, noise.NoiseConfig(p=0.2, seed=314159)
-            )
-            _, report_05 = noise.corrupt_spans(
-                problems, noise.NoiseConfig(p=0.5, seed=314159)
-            )
-        finally:
-            logging.getLogger("lpwp.ingest").setLevel(logging.NOTSET)
+        problems = make_corpus(500, 24)  # 12,000 spans
+        _, report_02 = noise.corrupt_spans(
+            problems, noise.NoiseConfig(p=0.2, seed=314159)
+        )
+        _, report_05 = noise.corrupt_spans(
+            problems, noise.NoiseConfig(p=0.5, seed=314159)
+        )
         assert 0.80 <= report_02.f1 <= 0.86
         assert 0.52 <= report_05.f1 <= 0.62
         assert time.monotonic() - started < 30.0

@@ -118,6 +118,10 @@ def test_noise_deterministic_output(runner, berry_dataset, tmp_path):
         assert result.exit_code == 0
         outputs.append((out.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1]
+    assert set(json.loads(outputs[0][1])) == {
+        "true_positives", "false_positives", "false_negatives", "precision",
+        "recall", "f1", "n_drop", "n_mislabel", "n_shift", "n_shift_fallback",
+    }
 
 
 def test_noise_does_not_mutate_input(runner, berry_dataset, tmp_path):

@@ -44,6 +44,13 @@ def test_load_empty_file(tmp_path):
     assert ingest.load_dataset(path) == []
 
 
+def test_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "d.jsonl"
+    record = json.dumps(berry_record())
+    path.write_text(f"\n{record}\n \t\n\n", encoding="utf-8")
+    assert ingest.load_dataset(path) == [berry_problem()]
+
+
 def test_load_save_round_trip(tmp_path):
     problem = berry_problem()
     path = tmp_path / "data.jsonl"
@@ -471,8 +478,9 @@ def test_gold_numbers_beyond_the_digit_limit_rejected_at_load(tmp_path, literal)
     ([OBJ, dict(LIN, terms={"farm 1": 2, " Farm 1 ": "-2"})], "gold[1]"),
     ([OBJ, LIN, OBJ], "gold"),
     ([LIN], "gold"),
+    ([OBJ, dict(LIN, operator="EQUALS")], "gold[1]"),
 ], ids=["direction_reduce", "zero_row", "spellings_cancel", "two_objectives",
-        "no_objective"])
+        "no_objective", "equals_operator"])
 def test_load_rejects_gold_without_canonical_form(tmp_path, gold, field):
     with pytest.raises(ValidationError) as err:
         load_line(tmp_path, json.dumps(berry_record(gold=gold)))
@@ -518,3 +526,21 @@ def test_type_mutations_are_rejected_or_round_trip(data):
         saved = Path(tmp) / "saved.jsonl"
         ingest.save_dataset([problem], saved)
         assert ingest.load_dataset(saved) == [problem]
+
+
+@pytest.mark.parametrize("problem, field", [
+    (ingest.problem_from_record({"id": "bad", "text": "x\ud800", "spans": [],
+                                 "order_mapping": {"x": 0}}, JsonNumbers()),
+     "text"),
+    (Problem("bad", "x", [], OrderMapping({"x": 0}),
+             gold=[ir.objective("min", "n", {"x": Fraction(2)})]), None),
+], ids=["lone_surrogate", "objective_coefficient"])
+def test_failed_save_leaves_the_target_as_it_was(tmp_path, problem, field):
+    target = tmp_path / "d.jsonl"
+    target.write_bytes(b"earlier contents\n")
+    with pytest.raises(ValidationError) as err:
+        ingest.save_dataset([berry_problem(), problem], target)
+    assert err.value.field == field
+    assert "'bad'" in err.value.message
+    assert target.read_bytes() == b"earlier contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]

@@ -158,3 +158,34 @@ def test_round_trip_property():
             )
             assert parsed == decls
             assert diagnostics == []
+
+
+AT_MOST_X = (
+    "<DECLARATION><CONST_DIR> at most </CONST_DIR>"
+    "<OPERATOR> LESS_OR_EQUAL </OPERATOR><LIMIT> {limit} </LIMIT> [is] "
+    "{terms}</DECLARATION>"
+)
+
+
+@pytest.mark.parametrize("text, at, message", [
+    ("<DECLARATION><OBJ_DIR> </OBJ_DIR><OBJ_NAME> n </OBJ_NAME> [is] "
+     "<VAR> x </VAR> [TIMES] <PARAM> 2 </PARAM></DECLARATION>",
+     " </OBJ_DIR>", "empty <OBJ_DIR> content"),
+    (AT_MOST_X.format(limit=5, terms=""), "</DECLARATION>",
+     "declaration has no terms"),
+    (AT_MOST_X.format(limit="ONE", terms="<VAR> x </VAR> [TIMES] <PARAM> 2 </PARAM>"),
+     "<LIMIT>", "ONE is only valid as a coefficient"),
+    (AT_MOST_X.format(limit="1/2", terms="<VAR> x </VAR> [TIMES] <PARAM> 2 </PARAM>"),
+     "<LIMIT>", "bad numeric value '1/2'"),
+    (AT_MOST_X.format(limit=5, terms="<VAR> x </VAR> [TIMES] <PARAM> 1/2 </PARAM>"),
+     "<PARAM>", "bad numeric value '1/2'"),
+], ids=["empty_direction", "no_terms", "one_as_limit", "bad_limit", "bad_param"])
+def test_lenient_diagnostic_names_the_fault_and_its_position(text, at, message):
+    decls, diagnostics = parse_declarations(text, "lenient")
+    assert decls == []
+    assert diagnostics == [f"char {text.index(at)}: {message}"]
+
+
+def test_unknown_parse_mode_rejected():
+    with pytest.raises(ValueError):
+        parse_declarations(FIG3_OBJECTIVE_IR, "loose")

@@ -54,6 +54,18 @@ def test_berry_hand_count():
     assert report.accuracy == pytest.approx(1 - 2 / 3)
 
 
+@pytest.mark.parametrize("tol", [0, Fraction(1, 10**9)])
+def test_equal_forms_match_with_multiplicity(tol):
+    problem = berry_problem()
+    obj, c1, _ = problem.gold
+    report = score_accuracy(
+        {"berry": [obj, c1, c1]}, {"berry": [c1, obj, c1, c1]},
+        {"berry": problem.order_mapping}, tol,
+    )
+    example = report.per_example[0]
+    assert (example.d, example.fp, example.fn) == (3, 1, 0)
+
+
 def test_accuracy_can_be_negative():
     mapping = OrderMapping({"x": 0})
     gold = [
@@ -72,6 +84,14 @@ def test_unknown_prediction_id_rejected():
     mapping = OrderMapping({"x": 0})
     with pytest.raises(ValidationError):
         score_accuracy({"a": []}, {"b": []}, {"a": mapping, "b": mapping})
+
+
+def test_corpus_without_gold_declarations():
+    problem = berry_problem()
+    gold, mappings = {"berry": []}, {"berry": problem.order_mapping}
+    assert score_accuracy(gold, {}, mappings).accuracy == 1.0
+    with pytest.raises(ValidationError):
+        score_accuracy(gold, {"berry": problem.gold}, mappings)
 
 
 def test_missing_prediction_counts_as_empty():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from lpwp.ingest import EntitySpan, OrderMapping, Problem, save_dataset
+from lpwp.ingest import (EntitySpan, OrderMapping, Problem, load_dataset,
+                         save_dataset)
 from lpwp.noise import NoiseConfig, corrupt_spans
 
 from helpers import berry_problem, random_problem
@@ -22,14 +23,6 @@ def make_corpus(n_problems, spans_per_problem, labels=None):
         ]
         problems.append(Problem(f"p{i}", text, spans, OrderMapping({})))
     return problems
-
-
-@pytest.fixture(autouse=True)
-def quiet_var_warnings():
-    # Mislabeling to VAR legitimately produces unresolvable VAR spans.
-    logging.getLogger("lpwp.ingest").setLevel(logging.ERROR)
-    yield
-    logging.getLogger("lpwp.ingest").setLevel(logging.NOTSET)
 
 
 def test_p_zero_is_identity():
@@ -140,30 +133,60 @@ def test_impossible_shift_falls_back_to_drop():
     assert total == 1  # only the mislabeled span survives
 
 
-def test_noisy_problems_and_warnings_equal_a_full_rebuild(caplog, tmp_path):
+def test_noisy_problems_equal_a_full_rebuild(tmp_path):
     # Noisy problems are checked on their spans only; building each one
     # with Problem(...), which checks everything, must give the same
-    # problems, file and warnings. Single-character problems add shifts
-    # that fall back to a drop.
+    # problems and file. Single-character problems add shifts that fall
+    # back to a drop.
     rng = random.Random(20261018)
     problems = [random_problem(rng, f"p{i}") for i in range(300)]
     for i in range(0, 300, 50):
         problems.insert(i, Problem(f"a{i}", "a", [EntitySpan(0, 1, "PARAM")],
                                    OrderMapping({})))
-    with caplog.at_level(logging.WARNING, logger="lpwp.ingest"):
-        noisy, _ = corrupt_spans(problems, NoiseConfig(p=0.6, seed=7))
-        warnings = [r.getMessage() for r in caplog.records]
-        caplog.clear()
-        rebuilt = [Problem(p.id, p.text, p.spans, p.order_mapping, p.gold)
-                   for p in noisy]
-        rebuild_warnings = [r.getMessage() for r in caplog.records]
-    shift_warnings = [w for w in warnings if "no legal boundary shift" in w]
-    assert shift_warnings and rebuild_warnings
-    assert warnings == shift_warnings + rebuild_warnings
+    noisy, report = corrupt_spans(problems, NoiseConfig(p=0.6, seed=7))
+    rebuilt = [Problem(p.id, p.text, p.spans, p.order_mapping, p.gold)
+               for p in noisy]
+    assert report.n_shift_fallback > 0
+    n_spans = sum(len(p.spans) for p in problems)
+    assert (report.n_drop + report.n_mislabel + report.n_shift
+            + report.n_shift_fallback) == round(0.6 * n_spans)
     assert noisy == rebuilt
     save_dataset(noisy, tmp_path / "noisy.jsonl")
     save_dataset(rebuilt, tmp_path / "rebuilt.jsonl")
     assert (tmp_path / "noisy.jsonl").read_bytes() == (tmp_path / "rebuilt.jsonl").read_bytes()
+
+
+def test_shifted_span_can_land_on_a_dropped_one():
+    # The shift moves (6, 8) onto the dropped (3, 5), so the noisy corpus
+    # keeps one more true positive than the spans that were not selected.
+    spans = [EntitySpan(0, 2, "PARAM"), EntitySpan(3, 5, "PARAM"),
+             EntitySpan(6, 8, "PARAM")]
+    problem = Problem("p", "aa bb cc dd", spans, OrderMapping({}))
+    noisy, report = corrupt_spans([problem], NoiseConfig(p=1.0, seed=36))
+    assert noisy[0].spans == [EntitySpan(0, 2, "OBJ_DIR"), EntitySpan(3, 5, "PARAM")]
+    assert (report.true_positives, report.false_positives,
+            report.false_negatives) == (1, 1, 2)
+    assert (report.n_drop, report.n_mislabel, report.n_shift,
+            report.n_shift_fallback) == (1, 1, 1, 0)
+
+
+def test_building_loading_and_corrupting_log_nothing(caplog, tmp_path):
+    # A VAR span that names no variable is an annotation, not a fault, and
+    # a shift that falls back to a drop is counted in the report.
+    problems = [
+        Problem("v", "apples or pears", [EntitySpan(0, 6, "VAR"),
+                                         EntitySpan(10, 15, "VAR")],
+                OrderMapping({"x": 0})),
+        *(Problem(f"a{i}", "a", [EntitySpan(0, 1, "PARAM")], OrderMapping({}))
+          for i in range(3)),
+    ]
+    with caplog.at_level(logging.DEBUG, logger="lpwp"):
+        save_dataset(problems, tmp_path / "in.jsonl")
+        loaded = load_dataset(tmp_path / "in.jsonl")
+        _, report = corrupt_spans(loaded, NoiseConfig(p=1.0, seed=0, shift_max=1))
+    assert caplog.records == []
+    assert loaded == problems
+    assert report.n_shift_fallback > 0
 
 
 def test_invalid_config_rejected():

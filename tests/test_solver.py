@@ -280,3 +280,57 @@ def test_formulation_literals_are_read_exactly():
 def test_formulation_numbers_outside_the_grammar_rejected(data):
     with pytest.raises(StructureError, match="formulation JSON"):
         solver.formulation_from_json_dict(data)
+
+
+@pytest.fixture
+def leftover_pivots(monkeypatch):
+    """Counts pivots made outside a simplex run: those that take a leftover
+    artificial variable out of the basis after phase 1."""
+    count = [0]
+    in_simplex = [False]
+    run_simplex, pivot = solver._run_simplex, solver._pivot
+
+    def counting_run_simplex(*args):
+        in_simplex[0] = True
+        try:
+            return run_simplex(*args)
+        finally:
+            in_simplex[0] = False
+
+    def counting_pivot(*args):
+        count[0] += not in_simplex[0]
+        return pivot(*args)
+
+    monkeypatch.setattr(solver, "_run_simplex", counting_run_simplex)
+    monkeypatch.setattr(solver, "_pivot", counting_pivot)
+    return count
+
+
+def test_leftover_artificial_pivoted_out_after_phase_one(leftover_pivots):
+    # minimize -x s.t. -x <= -1, x <= 1: phase 1 ends with x = 1 and the
+    # artificial of the first row still basic at level 0.
+    solution = solve_lp(form([-1], [[-1], [1]], [-1, 1]))
+    assert leftover_pivots[0] == 1
+    assert solution.status == "optimal"
+    assert solution.x == [1.0]
+    assert solution.objective_value == -1.0
+
+
+def test_programs_with_leftover_artificials_match_vertex_oracle(leftover_pivots):
+    rng = random.Random(20261018)
+    reached = 0
+    for _ in range(4000):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        a = [[rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(n)] for _ in range(m)]
+        b = [rng.choice((-2, -1, -1, 0, 0, 1)) for _ in range(m)]
+        c = [rng.randint(-2, 3) for _ in range(n)]
+        leftover_pivots[0] = 0
+        solution = solve_lp(form(c, a, b))
+        if not leftover_pivots[0]:
+            continue
+        reached += 1
+        expected = vertex_oracle(c, a, b)
+        assert expected is not None  # phase 1 found a feasible point
+        if solution.status == "optimal":
+            assert solution.objective_value == pytest.approx(expected, abs=1e-6)
+    assert reached >= 20
