@@ -7,7 +7,6 @@ repaired.
 """
 
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -568,26 +567,23 @@ def load_dataset(path) -> list:
 def save_dataset(problems, path) -> None:
     """Write problems as JSONL; round-trips exactly through load_dataset.
 
-    The lines go to a file beside ``path`` that replaces it once the last
-    is written, so a problem that cannot be written leaves ``path`` as it was.
+    Every line is encoded before ``path`` is opened, so a problem that
+    cannot be written leaves ``path`` as it was.
     """
-    temp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "w", encoding="utf-8") as fh:
-            for problem in problems:
-                try:
-                    record = problem_to_record(problem)
-                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                except ValidationError as err:
-                    raise ValidationError(f"problem {problem.id!r}: {err.message}",
-                                          field=err.field) from None
-                except UnicodeEncodeError:
-                    raise ValidationError(
-                        f"problem {problem.id!r}: string holds an unpaired "
-                        "surrogate, which UTF-8 cannot encode",
-                        field=_lone_surrogate_at(record, "") or None,
-                    ) from None
-        os.replace(temp, path)
-    finally:
-        if os.path.exists(temp):  # not replaced: a problem could not be written
-            os.remove(temp)
+    lines = []
+    for problem in problems:
+        try:
+            record = problem_to_record(problem)
+            line = json.dumps(record, ensure_ascii=False) + "\n"
+            lines.append(line.encode("utf-8"))
+        except ValidationError as err:
+            raise ValidationError(f"problem {problem.id!r}: {err.message}",
+                                  field=err.field) from None
+        except UnicodeEncodeError:
+            raise ValidationError(
+                f"problem {problem.id!r}: string holds an unpaired "
+                "surrogate, which UTF-8 cannot encode",
+                field=_lone_surrogate_at(record, "") or None,
+            ) from None
+    with open(path, "wb") as fh:
+        fh.writelines(lines)

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import tempfile
 from fractions import Fraction
@@ -544,3 +545,18 @@ def test_failed_save_leaves_the_target_as_it_was(tmp_path, problem, field):
     assert "'bad'" in err.value.message
     assert target.read_bytes() == b"earlier contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
+
+def test_save_writes_through_the_target_it_is_given(tmp_path):
+    """A symlink stays a symlink, the file keeps its mode, a device works."""
+    real = tmp_path / "real.jsonl"
+    real.write_bytes(b"earlier contents\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real)
+    ingest.save_dataset([berry_problem()], link)
+    assert link.is_symlink()
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert ingest.load_dataset(real) == [berry_problem()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.jsonl", "real.jsonl"]
+    ingest.save_dataset([berry_problem()], os.devnull)
