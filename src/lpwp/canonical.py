@@ -4,8 +4,8 @@ The canonical program is: minimize c'x subject to Ax <= b, x >= 0.
 Maximization objectives and >= constraints are brought into this form by
 inverting the signs of their multipliers (and limit). All arithmetic is
 exact: every number is read from its decimal text into a rational, and a
-tolerance is compared exactly as well (``check_tolerance`` takes a float
-as the rational it stores).
+tolerance is compared exactly as well (``check_tolerance`` reads it with
+``numbers.exact``, so a float is the rational it stores).
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import ir
 from .errors import StructureError
 from .ingest import OrderMapping, objective_sign
-from .numbers import format_number
+from .numbers import exact, format_number
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
 
@@ -44,8 +44,6 @@ def _terms_to_vector(terms, mapping: OrderMapping) -> list:
     vector = [_ZERO] * mapping.n_vars
     entries = mapping.entries
     for var, coeff in terms.items():
-        if type(coeff) is not Fraction:
-            coeff = Fraction(coeff)
         column = entries.get(var)
         if column is None:  # another spelling of a key, or unknown
             column = mapping.resolve(var)
@@ -68,8 +66,7 @@ def canonicalize_declaration(decl, mapping: OrderMapping):
     else:
         if all(v == 0 for v in vector):
             raise StructureError("constraint row has no nonzero entry")
-        limit = decl.limit
-        vector.append(limit if type(limit) is Fraction else Fraction(limit))
+        vector.append(decl.limit)
         invert = decl.operator == ir.GREATER_OR_EQUAL
     return decl.kind, [-v for v in vector] if invert else vector
 
@@ -93,7 +90,7 @@ def canonicalize(decls, mapping: OrderMapping) -> CanonicalFormulation:
 
 def check_tolerance(tol) -> Fraction:
     """Return ``tol`` as an exact rational; it must be non-negative."""
-    tol = Fraction(tol)
+    tol = exact(tol)
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
     return tol

@@ -117,7 +117,7 @@ def score_cmd(gold_path, pred_path, tol):
     """
     problems = ingest.load_dataset(gold_path)
     with open(pred_path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = [line.rstrip("\n") for line in fh]
     if len(lines) != len(problems):
         raise ToolkitError(
             f"{len(lines)} prediction lines for {len(problems)} problems"

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import IrParseError
-from .numbers import format_number, parse_number
+from .numbers import exact, format_number, parse_number
 
 LESS_OR_EQUAL = "LESS_OR_EQUAL"
 GREATER_OR_EQUAL = "GREATER_OR_EQUAL"
@@ -52,18 +52,17 @@ class Declaration:
                 raise ValueError("constraint must not carry a name")
 
 
+def _exact_terms(terms) -> dict:
+    return {var: exact(coeff) for var, coeff in dict(terms).items()}
+
+
 def objective(direction_text: str, name: str, terms) -> Declaration:
-    return Declaration(OBJECTIVE, direction_text, dict(terms), name=name)
+    return Declaration(OBJECTIVE, direction_text, _exact_terms(terms), name=name)
 
 
 def constraint(direction_text: str, operator: str, limit, terms) -> Declaration:
-    return Declaration(
-        CONSTRAINT,
-        direction_text,
-        dict(terms),
-        operator=operator,
-        limit=limit if type(limit) is Fraction else Fraction(limit),
-    )
+    return Declaration(CONSTRAINT, direction_text, _exact_terms(terms),
+                       operator=operator, limit=exact(limit))
 
 
 def declaration_to_json_dict(decl: Declaration) -> dict:

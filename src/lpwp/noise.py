@@ -110,9 +110,10 @@ def corrupt_spans(problems, cfg: NoiseConfig):
         problem.with_spans(spans.values())
         for problem, spans in zip(problems, current)
     ]
+    # Keyed by position: problems may share an id.
     f1 = micro_f1(
-        {p.id: p.spans for p in problems},
-        {p.id: p.spans for p in noisy},
+        dict(enumerate(p.spans for p in problems)),
+        dict(enumerate(p.spans for p in noisy)),
     )
     return noisy, NoiseReport(
         **vars(f1), n_drop=len(drops), n_mislabel=len(mislabels),

@@ -2,8 +2,8 @@
 
 Coefficients and limits are kept as rationals so that canonical equality is
 exact; floats only appear at the solver boundary. Every number read (gold,
-formulations, IR tokens, ``--tol``) follows one ASCII grammar, and JSON
-float literals are read from their text:
+formulations, IR tokens, ``--tol``, strings given to ``exact``) follows one
+ASCII grammar, and JSON float literals are read from their text:
 
     [+-]? (digits ["." [digits]] | "." digits) [("e" | "E") [+-]? digits]
 """
@@ -11,6 +11,7 @@ float literals are read from their text:
 import json
 import re
 import sys
+from decimal import Context, Inexact
 from fractions import Fraction
 
 # The least limit sys.set_int_max_str_digits accepts: a plain decimal this
@@ -78,35 +79,32 @@ class JsonNumbers(dict):
         return number
 
 
-def decimal_places(value: Fraction):
-    """Digits after the point in the decimal expansion of ``value``.
-
-    Returns None when the expansion does not terminate, i.e. when the
-    reduced denominator has a prime factor other than 2 and 5.
-    """
-    d = value.denominator
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    return max(twos, fives) if d == 1 else None
+def exact(value) -> Fraction:
+    """The exact rational of a Python value: a string is read by the grammar
+    above, an int, float or Fraction is taken as it is."""
+    if isinstance(value, str):
+        return parse_number(value)
+    return Fraction(value)
 
 
 def format_number(value: Fraction) -> str:
     """Render a rational as the exact decimal string it came from.
 
     Only rationals with a terminating decimal expansion are representable;
-    anything else is a programming error upstream.
+    anything else is a programming error upstream. As with ``str(int)``, a
+    value whose digits exceed ``sys.get_int_max_str_digits()`` is refused.
     """
-    if value.denominator == 1:
-        return str(value.numerator)
-    places = decimal_places(value)
-    if places is None:
-        raise ValueError(f"{value} has no terminating decimal expansion")
-    scaled = value * 10**places
-    digits = str(abs(scaled.numerator)).rjust(places + 1, "0")
-    sign = "-" if value < 0 else ""
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    n, d = value.numerator, value.denominator
+    if d == 1:
+        return str(n)
+    # This precision holds every digit of a terminating quotient, so the
+    # division is exact or signals Inexact.
+    context = Context(prec=n.bit_length() + d.bit_length() + 1, traps=[Inexact])
+    try:
+        text = format(context.divide(n, d), "f")
+    except Inexact:
+        raise ValueError(f"{value} has no terminating decimal expansion") from None
+    limit = _max_str_digits()
+    if limit and len(text) > limit and len(text.lstrip("-0.").replace(".", "")) > limit:
+        raise ValueError(f"the expansion of a value needs more than {limit} digits")
+    return text

@@ -70,6 +70,11 @@ def test_strip_tags_rejects_unbalanced():
         strip_tags("a </VAR> b")
 
 
+def test_strip_tags_rejects_a_mismatched_closing_tag():
+    with pytest.raises(ValidationError, match="mismatched closing tag </PARAM>"):
+        strip_tags("<LIMIT> 3 </PARAM>")
+
+
 @st.composite
 def text_with_spans(draw):
     text = draw(st.text(

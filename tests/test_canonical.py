@@ -203,3 +203,14 @@ def test_render_algebraic_berry():
     assert lines[0] == "min farm 1 + farm 2"
     assert lines[1] == "50 farm 1 + 70 farm 2 >= 3000"
     assert lines[2] == "300 farm 1 + 200 farm 2 >= 15000"
+
+
+def test_render_algebraic_skips_a_zero_column():
+    decl = ir.constraint("at most", ir.LESS_OR_EQUAL, 3, {"x": 1})
+    assert canonical.render_algebraic([decl], OrderMapping({"x": 0, "y": 1})) == "x <= 3"
+
+
+def test_negative_tolerance_rejected():
+    decl = ir.constraint("at most", ir.LESS_OR_EQUAL, 3, {"x": 1})
+    with pytest.raises(ValueError, match="tolerance must be non-negative"):
+        declarations_equal(decl, decl, OrderMapping({"x": 0}), tol=-1)

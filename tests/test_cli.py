@@ -78,6 +78,51 @@ def test_score_line_count_mismatch(runner, berry_dataset, tmp_path):
     assert result.exit_code == 1
 
 
+def test_score_splits_lines_only_at_newlines(runner, berry_dataset, tmp_path):
+    # U+2028 breaks a line for str.splitlines, but not for a text file.
+    preds = tmp_path / "preds.txt"
+    preds.write_text(ir.serialize_declarations(berry_problem().gold)
+                     + "stray\u2028text\n", encoding="utf-8")
+    result = runner.invoke(main, ["parse-ir", "--in", str(preds)])
+    assert len(json.loads(result.stdout)) == 1
+    result = runner.invoke(main, ["score", "--gold", str(berry_dataset),
+                                  "--pred", str(preds)])
+    assert result.exit_code == 0, result.output
+    (example,) = json.loads(result.stdout)["per_example"]
+    assert (example["D"], example["FP"], example["FN"]) == (3, 0, 0)
+    (diagnostic,) = result.stderr.splitlines()
+    assert diagnostic.startswith("berry: ") and "stray text" in diagnostic
+
+
+@pytest.fixture
+def dataset_without_gold(tmp_path):
+    path = tmp_path / "ng.jsonl"
+    ingest.save_dataset([ingest.Problem("ng", "x", [], ingest.OrderMapping({"x": 0}))],
+                        path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["canonicalize", "score"])
+def test_problem_without_gold_exits_one(runner, dataset_without_gold, tmp_path, command):
+    args = [command, "--in", str(dataset_without_gold)]
+    if command == "score":
+        preds = tmp_path / "preds.txt"
+        preds.write_text("\n")
+        args = [command, "--gold", str(dataset_without_gold), "--pred", str(preds)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr == "error: problem ng has no gold declarations\n"
+
+
+def test_score_rejects_a_negative_tolerance(runner, berry_dataset, tmp_path):
+    preds = tmp_path / "preds.txt"
+    preds.write_text("\n")
+    result = runner.invoke(main, ["score", "--gold", str(berry_dataset),
+                                  "--pred", str(preds), "--tol", "-1"])
+    assert result.exit_code == 1
+    assert result.stderr == "error: tolerance must be non-negative\n"
+
+
 def test_canonicalize(runner, berry_dataset):
     result = runner.invoke(
         main, ["canonicalize", "--in", str(berry_dataset), "--algebraic"]

@@ -264,6 +264,22 @@ def test_problem_built_in_python_needs_gold_with_canonical_form(gold, field):
     assert err.value.field == field
 
 
+def test_problem_built_in_python_serializes_saves_and_reloads(tmp_path):
+    """ir.objective and ir.constraint read number strings and floats exactly."""
+    gold = [
+        ir.objective("min", "cost", {"x": 1, "y": "1"}),
+        ir.constraint("at most", ir.LESS_OR_EQUAL, "0.5", {"x": "0.5", "y": 0.1}),
+        ir.constraint("at least", ir.GREATER_OR_EQUAL, 2, {"x": 2}),
+    ]
+    problem = Problem("py", "x and y", [], OrderMapping({"x": 0, "y": 1}), gold=gold)
+    target = serialize_declarations(gold)
+    assert "<PARAM> 0.5 </PARAM>" in target
+    assert ir.parse_declarations(target, "strict") == (gold, [])
+    path = tmp_path / "py.jsonl"
+    ingest.save_dataset([problem], path)
+    assert ingest.load_dataset(path) == [problem]
+
+
 def berry_record(**changes):
     return dict(ingest.problem_to_record(berry_problem()), **changes)
 

@@ -189,3 +189,34 @@ def test_lenient_diagnostic_names_the_fault_and_its_position(text, at, message):
 def test_unknown_parse_mode_rejected():
     with pytest.raises(ValueError):
         parse_declarations(FIG3_OBJECTIVE_IR, "loose")
+
+
+@pytest.mark.parametrize("number", ["1/3", " 3", "1_000"])
+def test_declaration_helpers_reject_a_number_string_outside_the_grammar(number):
+    with pytest.raises(ValueError):
+        ir.objective("minimize", "cost", {"x": number})
+    with pytest.raises(ValueError):
+        ir.constraint("at most", ir.LESS_OR_EQUAL, number, {"x": 1})
+    with pytest.raises(ValueError):
+        ir.constraint("at most", ir.LESS_OR_EQUAL, 1, {"x": number})
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind="bound", direction_text="at most", terms={"x": 1}),
+     "unknown declaration kind"),
+    (dict(kind=ir.OBJECTIVE, direction_text="minimize", terms={"x": 1},
+          name="n", operator=ir.LESS_OR_EQUAL), "must not carry operator/limit"),
+    (dict(kind=ir.OBJECTIVE, direction_text="minimize", terms={"x": 1},
+          name="n", limit=Fraction(1)), "must not carry operator/limit"),
+    (dict(kind=ir.OBJECTIVE, direction_text="minimize", terms={"x": 1}),
+     "objective requires a name"),
+    (dict(kind=ir.CONSTRAINT, direction_text="at most", terms={"x": 1},
+          operator=ir.LESS_OR_EQUAL), "constraint requires a limit"),
+    (dict(kind=ir.CONSTRAINT, direction_text="at most", terms={"x": 1},
+          operator=ir.LESS_OR_EQUAL, limit=Fraction(1), name="n"),
+     "constraint must not carry a name"),
+], ids=["unknown_kind", "objective_operator", "objective_limit", "objective_no_name",
+        "constraint_no_limit", "constraint_name"])
+def test_declaration_rejects_a_wrong_shape(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ir.Declaration(**fields)

@@ -170,6 +170,30 @@ def test_shifted_span_can_land_on_a_dropped_one():
             report.n_shift_fallback) == (1, 1, 1, 0)
 
 
+def test_shift_that_would_overlap_a_neighbour_is_never_placed():
+    # Six adjacent one-character spans: the span in the shift group keeps a
+    # neighbour (or the text's edge) on each side, so every move of at most
+    # one character is out of bounds or overlaps, and it falls back to a drop.
+    spans = [EntitySpan(i, i + 1, "PARAM") for i in range(6)]
+    problem = Problem("p", "abcdef", spans, OrderMapping({}))
+    noisy, report = corrupt_spans([problem],
+                                  NoiseConfig(p=0.5, seed=0, shift_max=1))
+    assert noisy[0].spans == [EntitySpan(1, 2, "PARAM"), EntitySpan(2, 3, "PARAM"),
+                              EntitySpan(4, 5, "PARAM"), EntitySpan(5, 6, "OBJ_DIR")]
+    assert (report.n_drop, report.n_mislabel, report.n_shift,
+            report.n_shift_fallback) == (1, 1, 0, 1)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_f1_counts_every_problem_when_ids_repeat(p):
+    problem = berry_problem()
+    noisy, report = corrupt_spans([problem, problem], NoiseConfig(p=p, seed=1))
+    total = 2 * len(problem.spans)
+    assert report.true_positives + report.false_negatives == total
+    if p == 0.0:
+        assert report.true_positives == total
+
+
 def test_building_loading_and_corrupting_log_nothing(caplog, tmp_path):
     # A VAR span that names no variable is an annotation, not a fault, and
     # a shift that falls back to a drop is counted in the report.

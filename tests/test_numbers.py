@@ -1,13 +1,15 @@
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lpwp.numbers import JsonNumbers, Literal, decode_json, format_number, parse_number
+from lpwp.numbers import (JsonNumbers, Literal, decode_json, exact, format_number,
+                          parse_number)
 
 # The documented number grammar, checked independently of the reader: an
 # ASCII regular expression, then Fraction(str), which accepts all of it.
@@ -139,3 +141,94 @@ def test_numbers_at_the_digit_limit_read_and_write_back(text):
     number = parse_number(text)
     assert number == Fraction(text)
     assert parse_number(format_number(number)) == number
+
+
+def reference_format_number(value):
+    """``format_number`` as written before it used ``decimal``."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    d = value.denominator
+    twos = fives = 0
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    if d != 1:
+        raise ValueError(f"{value} has no terminating decimal expansion")
+    places = max(twos, fives)
+    scaled = value * 10**places
+    digits = str(abs(scaled.numerator)).rjust(places + 1, "0")
+    sign = "-" if value < 0 else ""
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def format_outcome(format, value):
+    try:
+        return format(value)
+    except ValueError:
+        return ValueError
+
+
+def assert_formats_as_reference(value):
+    assert format_outcome(format_number, value) == format_outcome(
+        reference_format_number, value
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(0, 80), st.integers(0, 80))
+def test_format_number_matches_reference_on_terminating_values(numerator, twos, fives):
+    value = Fraction(numerator, 2**twos * 5**fives)
+    assert_formats_as_reference(value)
+    assert parse_number(format_number(value)) == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**40, 10**40), st.integers(0, 30), st.integers(0, 30),
+       st.sampled_from([3, 7, 9, 11, 13, 21, 3**20, 10**9 + 7]))
+@example(1, 0, 0, 3)
+@example(2, 0, 0, 7)
+def test_format_number_refuses_non_terminating_values(numerator, twos, fives, odd):
+    assume(math.gcd(numerator, odd) == 1)
+    value = Fraction(numerator, 2**twos * 5**fives * odd)
+    for format in (format_number, reference_format_number):
+        with pytest.raises(ValueError) as err:
+            format(value)
+        assert str(err.value) == f"{value} has no terminating decimal expansion"
+
+
+def _repdigit(count):
+    """The int written as ``count`` sevens, built without reading a string."""
+    return 7 * (10**count - 1) // 9
+
+
+@pytest.mark.parametrize("digits", [LIMIT - 1, LIMIT, LIMIT + 1])
+@pytest.mark.parametrize("places", [0, 1, 2, 600, "all", "beyond"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_format_number_at_the_digit_limit_matches_reference(digits, places, sign):
+    places = {"all": digits, "beyond": digits + 5}.get(places, places)
+    assert_formats_as_reference(Fraction(sign * _repdigit(digits), 10**places))
+
+
+@pytest.mark.parametrize("value, written", [
+    (Fraction(1, 2**5000), True),
+    (Fraction(1, 2**14000), False),
+    (Fraction(-3, 2**5000 * 5**20), True),
+    (Fraction(1, 10**(2 * LIMIT)), True),  # many zeros, one digit
+    (Fraction(10**LIMIT + 1, 10**LIMIT), False),
+    (Fraction(10**LIMIT), False),
+])
+def test_format_number_around_the_digit_limit(value, written):
+    assert_formats_as_reference(value)
+    assert (format_outcome(format_number, value) is not ValueError) is written
+
+
+@pytest.mark.parametrize("value, number", [
+    ("0.5", Fraction(1, 2)), ("-2.5e1", Fraction(-25)), (Literal("1E-2"), Fraction(1, 100)),
+    (3, Fraction(3)), (0.1, Fraction(0.1)), (Fraction(7, 4), Fraction(7, 4)),
+])
+def test_exact_reads_strings_by_the_grammar_and_numbers_as_they_are(value, number):
+    assert exact(value) == number
+    assert type(exact(value)) is Fraction

@@ -82,6 +82,9 @@ def test_dimension_mismatch_rejected():
         solve_lp(form([1, 2], [[1]], [1]))
     with pytest.raises(StructureError):
         solve_lp(form([1], [[1], [1]], [1]))
+    with pytest.raises(StructureError, match="objective has 1 entries, expected 2"):
+        solve_lp(CanonicalFormulation(n_vars=2, objective=[Fraction(1)],
+                                      constraints=[], limits=[]))
 
 
 def test_optimal_solution_is_feasible():
