@@ -53,6 +53,25 @@ def _terms_to_vector(terms, mapping: OrderMapping) -> list:
     return vector
 
 
+def canonical_parts(decl, mapping: OrderMapping):
+    """``(kind, vector, sign)``, where ``sign`` times ``vector`` is the
+    canonical form of ``canonicalize_declaration``.
+
+    ``vector`` is ``c`` for an objective, or the row with its limit appended
+    for a constraint; ``sign`` is -1 for a maximize objective or a ``>=``
+    constraint, else 1.
+    """
+    vector = _terms_to_vector(decl.terms, mapping)
+    if decl.kind == ir.OBJECTIVE:
+        sign = objective_sign(decl.direction_text)
+    else:
+        if not any(vector):
+            raise StructureError("constraint row has no nonzero entry")
+        vector.append(decl.limit)
+        sign = -1 if decl.operator == ir.GREATER_OR_EQUAL else 1
+    return decl.kind, vector, sign
+
+
 def canonicalize_declaration(decl, mapping: OrderMapping):
     """Canonicalize a single declaration.
 
@@ -60,15 +79,8 @@ def canonicalize_declaration(decl, mapping: OrderMapping):
     limit appended for a constraint, sign-inverted for a maximize objective
     or a ``>=`` constraint.
     """
-    vector = _terms_to_vector(decl.terms, mapping)
-    if decl.kind == ir.OBJECTIVE:
-        invert = objective_sign(decl.direction_text) == -1
-    else:
-        if all(v == 0 for v in vector):
-            raise StructureError("constraint row has no nonzero entry")
-        vector.append(decl.limit)
-        invert = decl.operator == ir.GREATER_OR_EQUAL
-    return decl.kind, [-v for v in vector] if invert else vector
+    kind, vector, sign = canonical_parts(decl, mapping)
+    return kind, vector if sign == 1 else [-v for v in vector]
 
 
 def canonicalize(decls, mapping: OrderMapping) -> CanonicalFormulation:

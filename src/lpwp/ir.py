@@ -9,6 +9,7 @@ output and recovers whatever declarations it can.
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import IrParseError
@@ -113,25 +114,31 @@ def serialize_declarations(decls) -> str:
 
 _IR_TAGS = ("DECLARATION", "OBJ_DIR", "OBJ_NAME", "CONST_DIR", "OPERATOR",
             "LIMIT", "VAR", "PARAM")
+# One group, so that ``split`` returns text, token, text, ..., text.
 _TOKEN_RE = re.compile(
-    r"</?(?:%s)>|\[is\]|\[TIMES\]" % "|".join(_IR_TAGS)
+    r"(</?(?:%s)>|\[is\]|\[TIMES\])" % "|".join(_IR_TAGS)
 )
 
 
 @dataclass
 class _TokenStream:
-    text: str
-    tokens: list  # (token string, start, end)
+    """The tokens of an IR string, with the text before each and its start.
+
+    ``texts`` and ``starts`` hold one entry more than ``tokens``: the text
+    after the last token, and the length of the input.
+    """
+
+    tokens: list
+    texts: list
+    starts: list
     pos: int = 0
     diagnostics: list = field(default_factory=list)
 
     def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def here(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return len(self.text)
+        return self.starts[self.pos]
 
     def expect(self, token):
         if self.peek() != token:
@@ -141,26 +148,31 @@ class _TokenStream:
         self.pos += 1
 
     def _require_no_text_before(self):
-        start = self.tokens[self.pos - 1][2] if self.pos > 0 else 0
-        end = self.tokens[self.pos][1]
-        between = self.text[start:end]
+        between = self.texts[self.pos]
         if between.strip():
-            raise IrParseError(f"unexpected text {between.strip()!r}", start)
+            raise IrParseError(f"unexpected text {between.strip()!r}",
+                               self.here() - len(between))
 
     def content(self, tag):
         """Consume ``<tag> text </tag>`` and return the stripped text."""
         self.expect(f"<{tag}>")
         if self.pos >= len(self.tokens):
             raise IrParseError(f"unterminated <{tag}>", self.here())
-        start = self.tokens[self.pos - 1][2]
-        end = self.tokens[self.pos][1]
-        value = self.text[start:end].strip()
+        text = self.texts[self.pos]
+        start = self.here() - len(text)
         if self.peek() != f"</{tag}>":
             raise IrParseError(f"expected </{tag}>", self.here())
         self.pos += 1
+        value = text.strip()
         if not value:
             raise IrParseError(f"empty <{tag}> content", start)
         return value
+
+
+def _tokenize(ir: str) -> _TokenStream:
+    parts = _TOKEN_RE.split(ir)
+    ends = list(accumulate(map(len, parts)))
+    return _TokenStream(parts[1::2], parts[0::2], ends[0::2])
 
 
 def _parse_coefficient(token, position):
@@ -219,18 +231,75 @@ def _parse_one_declaration(stream):
             f"expected <OBJ_DIR> or <CONST_DIR>, got {got!r}", stream.here()
         )
     stream.expect("</DECLARATION>")
-    for var, pos in duplicates:
-        stream.diagnostics.append(
-            f"char {pos}: duplicate variable {var!r}, coefficients summed"
-        )
-    return decl
+    return decl, duplicates
+
+
+_OBJECTIVE_HEAD = ["<DECLARATION>", "<OBJ_DIR>", "</OBJ_DIR>", "<OBJ_NAME>",
+                   "</OBJ_NAME>", "[is]"]
+_CONSTRAINT_HEAD = ["<DECLARATION>", "<CONST_DIR>", "</CONST_DIR>", "<OPERATOR>",
+                    "</OPERATOR>", "<LIMIT>", "</LIMIT>", "[is]"]
+_TERM = ["<VAR>", "</VAR>", "[TIMES]", "<PARAM>", "</PARAM>"]
+_ONE = Fraction(1)
+
+
+def _read_well_formed(stream):
+    """``(declaration, duplicates)`` at ``stream.pos`` if it is well-formed.
+
+    The declaration is checked whole: its head and each term are compared
+    with their fixed token sequences, the texts between tokens must be
+    blank and the contents not, and the numbers must read. On any fault
+    this returns None and leaves the stream as it was, so that the walk of
+    ``_parse_one_declaration`` can name the first fault.
+    """
+    tokens, texts, p = stream.tokens, stream.texts, stream.pos
+    try:
+        if tokens[p:p + 6] == _OBJECTIVE_HEAD:
+            before, after_decl, direction, after_dir, name, after_name = texts[p:p + 6]
+            if (before + after_decl + after_dir + after_name).strip():
+                return None
+            direction, name = direction.strip(), name.strip()
+            if not direction or not name:
+                return None
+            kind, op, limit, q = OBJECTIVE, None, None, p + 6
+        elif tokens[p:p + 8] == _CONSTRAINT_HEAD:
+            (before, after_decl, direction, after_dir, op, after_op, limit,
+             after_limit) = texts[p:p + 8]
+            if (before + after_decl + after_dir + after_op + after_limit).strip():
+                return None
+            direction, op, limit = direction.strip(), op.strip(), limit.strip()
+            if not direction or op not in OPERATORS or limit == "ONE":
+                return None
+            kind, name, limit, q = CONSTRAINT, None, parse_number(limit), p + 8
+        else:
+            return None
+        terms = {}
+        duplicates = []
+        while tokens[q:q + 5] == _TERM:
+            before_var, var, before_times, before_param, coeff = texts[q:q + 5]
+            var, coeff = var.strip(), coeff.strip()
+            if (before_var + before_times + before_param).strip() or not var:
+                return None
+            coeff = _ONE if coeff == "ONE" else parse_number(coeff)
+            if var in terms:
+                duplicates.append((var, stream.starts[q]))
+                terms[var] += coeff
+            else:
+                terms[var] = coeff
+            q += 5
+    except ValueError:  # a number that does not read
+        return None
+    if not terms or tokens[q:q + 1] != ["</DECLARATION>"] or texts[q].strip():
+        return None
+    stream.pos = q + 1
+    decl = Declaration(kind, direction, terms, name=name, operator=op, limit=limit)
+    return decl, duplicates
 
 
 def _resync(stream):
     """Skip past the current declaration after a lenient-mode failure."""
     depth_start = stream.pos
     while stream.pos < len(stream.tokens):
-        token = stream.tokens[stream.pos][0]
+        token = stream.tokens[stream.pos]
         if token == "</DECLARATION>":
             stream.pos += 1
             return
@@ -248,8 +317,7 @@ def parse_declarations(ir: str, mode: str = "strict"):
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode: {mode!r}")
-    tokens = [(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(ir)]
-    stream = _TokenStream(ir, tokens)
+    stream = _tokenize(ir)
     decls = []
 
     def fail(message, position):
@@ -258,23 +326,30 @@ def parse_declarations(ir: str, mode: str = "strict"):
             raise error
         stream.diagnostics.append(str(error))
 
+    tokens = stream.tokens
     while True:
         # Skip to the next declaration, flagging stray text/tokens on the way.
-        while stream.peek() is not None and stream.peek() != "<DECLARATION>":
-            fail(f"stray token {stream.peek()!r}", stream.here())
+        while stream.pos < len(tokens) and tokens[stream.pos] != "<DECLARATION>":
+            fail(f"stray token {tokens[stream.pos]!r}", stream.here())
             stream.pos += 1
-        if stream.peek() is None:
-            tail_start = stream.tokens[-1][2] if stream.tokens else 0
-            tail = ir[tail_start:]
+        if stream.pos == len(tokens):
+            tail = stream.texts[-1]
             if tail.strip():
-                fail(f"stray text {tail.strip()!r}", tail_start)
+                fail(f"stray text {tail.strip()!r}", len(ir) - len(tail))
             break
         try:
-            decls.append(_parse_one_declaration(stream))
+            decl, duplicates = (_read_well_formed(stream)
+                                or _parse_one_declaration(stream))
         except IrParseError as failure:
             message = failure.message
             if stream.peek() is None:
                 message = f"unterminated declaration ({message})"
             fail(message, failure.position)
             _resync(stream)
+            continue
+        decls.append(decl)
+        for var, pos in duplicates:
+            stream.diagnostics.append(
+                f"char {pos}: duplicate variable {var!r}, coefficients summed"
+            )
     return decls, stream.diagnostics

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .canonical import (
-    DEFAULT_TOLERANCE, canonicalize_declaration, check_tolerance,
+    DEFAULT_TOLERANCE, canonical_parts, check_tolerance,
 )
 from .errors import MappingError, StructureError, ValidationError
 
@@ -80,16 +80,17 @@ def _match_count(pred, gold, mapping, tol: Fraction) -> int:
 
     Each declaration is canonicalized once. The example's forms are scaled
     to integers by ``S``, the least common multiple of their entries'
-    denominators, so two entries are within ``tol`` exactly when their
-    scaled difference, an integer, is at most ``floor(tol * S)``. When that
-    bound is 1 or more, the matching is grown one prediction at a time
-    along augmenting paths (Kuhn's algorithm).
+    denominators, and take their canonical sign as integers. Two entries
+    are within ``tol`` exactly when their scaled difference, an integer, is
+    at most ``floor(tol * S)``. When that bound is 1 or more, the matching
+    is grown one prediction at a time along augmenting paths (Kuhn's
+    algorithm).
     """
-    gold_forms = [canonicalize_declaration(g, mapping) for g in gold]
+    gold_forms = [canonical_parts(g, mapping) for g in gold]
     pred_forms = []
     for p in pred:
         try:
-            pred_forms.append(canonicalize_declaration(p, mapping))
+            pred_forms.append(canonical_parts(p, mapping))
         except (MappingError, StructureError):
             pred_forms.append(None)  # matches nothing
     scale = lcm(*{v.denominator for form in gold_forms + pred_forms if form
@@ -98,8 +99,9 @@ def _match_count(pred, gold, mapping, tol: Fraction) -> int:
     def scaled(form):
         if form is None:
             return None
-        kind, vector = form
-        return kind, tuple([v.numerator * (scale // v.denominator) for v in vector])
+        kind, vector, sign = form
+        return kind, tuple([sign * v.numerator * (scale // v.denominator)
+                            for v in vector])
 
     gold_keys = list(map(scaled, gold_forms))
     pred_keys = map(scaled, pred_forms)
@@ -177,7 +179,7 @@ def micro_f1(reference, hypothesis) -> F1Report:
     if set(reference) != set(hypothesis):
         raise ValidationError(
             "reference and hypothesis example ids differ: "
-            f"{sorted(set(reference) ^ set(hypothesis))}"
+            f"{sorted(set(reference) ^ set(hypothesis), key=repr)}"
         )
     tp = fp = fn = 0
     for example_id, ref_spans in reference.items():

@@ -81,10 +81,16 @@ class JsonNumbers(dict):
 
 def exact(value) -> Fraction:
     """The exact rational of a Python value: a string is read by the grammar
-    above, an int, float or Fraction is taken as it is."""
+    above, an int, finite float or Fraction is taken as it is. A bool or a
+    float that is not finite raises ValueError."""
     if isinstance(value, str):
         return parse_number(value)
-    return Fraction(value)
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return Fraction(value)
+    except OverflowError:  # an infinity; a NaN raises ValueError itself
+        raise ValueError(f"{value!r} is not a finite number") from None
 
 
 def format_number(value: Fraction) -> str:

@@ -214,3 +214,9 @@ def test_negative_tolerance_rejected():
     decl = ir.constraint("at most", ir.LESS_OR_EQUAL, 3, {"x": 1})
     with pytest.raises(ValueError, match="tolerance must be non-negative"):
         declarations_equal(decl, decl, OrderMapping({"x": 0}), tol=-1)
+
+
+@pytest.mark.parametrize("tol", [True, float("inf"), float("nan")])
+def test_tolerance_that_is_a_bool_or_not_finite_rejected(tol):
+    with pytest.raises(ValueError):
+        canonical.check_tolerance(tol)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -388,3 +389,78 @@ def test_cli_sample_of_type_mutations_never_shows_a_traceback(runner, tmp_path):
             assert result.exit_code in (0, 1), (path, value, result.output)
             assert result.exception is None or isinstance(
                 result.exception, SystemExit), (path, value, result.exception)
+
+
+# One prediction line per problem: a duplicate variable and stray tokens,
+# then an unterminated declaration and stray tail text. The outputs and
+# diagnostics below are pinned byte for byte.
+def _faulty_prediction_lines():
+    objective, first, second = (ir.serialize_declarations([g])
+                                for g in berry_problem().gold)
+    return [
+        objective.replace("</DECLARATION>", "<VAR> farm 2 </VAR> [TIMES] "
+                          "<PARAM> 0 </PARAM></DECLARATION>")
+        + " </LIMIT> [is] " + first + second,
+        second + " <DECLARATION><CONST_DIR> at least </CONST_DIR>"
+        "<OPERATOR> GREATER_OR_EQUAL and more",
+    ]
+
+
+FAULTY_PREDICTION_DIAGNOSTICS = [
+    [
+        "char 181: duplicate variable 'farm 2', coefficients summed",
+        "char 242: stray token '</LIMIT>'",
+        "char 251: stray token '[is]'",
+    ],
+    [
+        "char 306: unterminated declaration (unterminated <OPERATOR>)",
+        "char 280: stray text 'GREATER_OR_EQUAL and more'",
+    ],
+]
+
+
+@pytest.fixture
+def faulty_predictions(tmp_path):
+    preds = tmp_path / "preds.txt"
+    preds.write_text("\n".join(_faulty_prediction_lines()) + "\n", encoding="utf-8")
+    return preds
+
+
+def test_score_output_and_diagnostics_are_pinned(runner, tmp_path, faulty_predictions):
+    gold = tmp_path / "gold.jsonl"
+    problem = berry_problem()
+    ingest.save_dataset([problem, dataclasses.replace(problem, id="berry 2")], gold)
+    result = runner.invoke(main, ["score", "--gold", str(gold),
+                                  "--pred", str(faulty_predictions)])
+    assert result.exit_code == 0
+    assert result.stdout == json.dumps({
+        "accuracy": 0.6666666666666667,
+        "n_examples": 2,
+        "per_example": [
+            {"D": 3, "FN": 0, "FP": 0, "id": "berry"},
+            {"D": 3, "FN": 2, "FP": 0, "id": "berry 2"},
+        ],
+    }, indent=2) + "\n"
+    assert result.stderr == "".join(
+        f"{pid}: {diagnostic}\n"
+        for pid, diagnostics in zip(["berry", "berry 2"], FAULTY_PREDICTION_DIAGNOSTICS)
+        for diagnostic in diagnostics
+    )
+
+
+def test_parse_ir_output_and_diagnostics_are_pinned(runner, faulty_predictions):
+    objective, first, second = (ir.declaration_to_json_dict(g)
+                                for g in berry_problem().gold)
+    result = runner.invoke(main, ["parse-ir", "--in", str(faulty_predictions)])
+    assert result.exit_code == 0
+    assert result.stdout == json.dumps([
+        {"declarations": [objective, first, second],
+         "diagnostics": FAULTY_PREDICTION_DIAGNOSTICS[0]},
+        {"declarations": [second], "diagnostics": FAULTY_PREDICTION_DIAGNOSTICS[1]},
+    ], indent=2, sort_keys=True) + "\n"
+    assert result.stderr == ""
+    result = runner.invoke(main, ["parse-ir", "--mode", "strict",
+                                  "--in", str(faulty_predictions)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {FAULTY_PREDICTION_DIAGNOSTICS[0][1]}\n"

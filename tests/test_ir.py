@@ -220,3 +220,12 @@ def test_declaration_helpers_reject_a_number_string_outside_the_grammar(number):
 def test_declaration_rejects_a_wrong_shape(fields, message):
     with pytest.raises(ValueError, match=message):
         ir.Declaration(**fields)
+
+
+def test_declaration_helpers_reject_a_bool_and_an_infinity():
+    with pytest.raises(ValueError):
+        ir.constraint("at most", ir.LESS_OR_EQUAL, float("inf"), {"x": 1})
+    with pytest.raises(ValueError):
+        ir.constraint("at most", ir.LESS_OR_EQUAL, 1, {"x": float("-inf")})
+    with pytest.raises(ValueError):
+        ir.objective("minimize", "cost", {"x": True})

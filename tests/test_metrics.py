@@ -315,3 +315,8 @@ def test_tolerance_boundary_is_exact(tol, pred_limit, matches):
     example = report.per_example[0]
     assert (example.fp, example.fn) == ((0, 0) if matches else (1, 1))
     assert declarations_equal(pred, gold, mapping, tol) is matches
+
+
+def test_micro_f1_mismatched_ids_of_mixed_types_rejected():
+    with pytest.raises(ValidationError, match=r"differ: \['a', 1\]"):
+        micro_f1({"a": []}, {1: []})
