@@ -433,11 +433,12 @@ def gold_to_declarations(records) -> list:
 def declarations_to_gold(decls) -> list:
     """Inverse of :func:`gold_to_declarations`, used when saving."""
     records = []
-    for decl in decls:
+    for i, decl in enumerate(decls):
         if decl.kind == ir.OBJECTIVE:
             if any(c != 1 for c in decl.terms.values()):
                 raise ValidationError(
-                    "objvar records cannot carry non-unit coefficients"
+                    "objvar records cannot carry non-unit coefficients",
+                    field=f"gold[{i}]",
                 )
             records.append({
                 "type": "objvar",
@@ -446,11 +447,16 @@ def declarations_to_gold(decls) -> list:
                 "vars": list(decl.terms),
             })
         else:
+            try:  # a number such as 1/3 has no decimal to write
+                limit = format_number(decl.limit)
+                terms = {v: format_number(c) for v, c in decl.terms.items()}
+            except ValueError as err:
+                raise ValidationError(str(err), field=f"gold[{i}]") from None
             records.append({
                 "type": "linear",
                 "direction": decl.direction_text,
-                "limit": format_number(decl.limit),
-                "terms": {v: format_number(c) for v, c in decl.terms.items()},
+                "limit": limit,
+                "terms": terms,
                 "operator": decl.operator,
             })
     return records

@@ -550,8 +550,17 @@ def test_type_mutations_are_rejected_or_round_trip(data):
                                  "order_mapping": {"x": 0}}, JsonNumbers()),
      "text"),
     (Problem("bad", "x", [], OrderMapping({"x": 0}),
-             gold=[ir.objective("min", "n", {"x": Fraction(2)})]), None),
-], ids=["lone_surrogate", "objective_coefficient"])
+             gold=[ir.objective("min", "n", {"x": Fraction(2)})]), "gold[0]"),
+    (Problem("bad", "x", [], OrderMapping({"x": 0}),
+             gold=[ir.objective("min", "n", {"x": 1}),
+                   ir.constraint("at most", "LESS_OR_EQUAL", Fraction(1, 3),
+                                 {"x": 1})]), "gold[1]"),
+    (Problem("bad", "x", [], OrderMapping({"x": 0}),
+             gold=[ir.objective("min", "n", {"x": 1}),
+                   ir.constraint("at most", "LESS_OR_EQUAL", 1,
+                                 {"x": Fraction(1, 3)})]), "gold[1]"),
+], ids=["lone_surrogate", "objective_coefficient", "limit_one_third",
+        "coefficient_one_third"])
 def test_failed_save_leaves_the_target_as_it_was(tmp_path, problem, field):
     target = tmp_path / "d.jsonl"
     target.write_bytes(b"earlier contents\n")

@@ -221,12 +221,38 @@ def test_pivot_matches_row_by_row_reference_bit_for_bit():
         assert basis_expected == basis_got
 
 
-def test_simplex_matches_row_by_row_reference_bit_for_bit():
+# Far more pivots than Bland's rule takes on any program below: a solver
+# whose basis falls out of step with its tableau fails the test, not hangs.
+PIVOT_BUDGET = 10_000
+
+
+@pytest.fixture
+def pivot_budget(monkeypatch):
+    """Caps the pivots of ``solver._pivot``; call the returned function to
+    start the count of the next program."""
+    count = [0]
+    pivot = solver._pivot
+
+    def budgeted_pivot(*args):
+        count[0] += 1
+        if count[0] > PIVOT_BUDGET:
+            raise AssertionError(f"more than {PIVOT_BUDGET} pivots on one program")
+        return pivot(*args)
+
+    def next_program():
+        count[0] = 0
+
+    monkeypatch.setattr(solver, "_pivot", budgeted_pivot)
+    return next_program
+
+
+def test_simplex_matches_row_by_row_reference_bit_for_bit(pivot_budget):
     # Small integer data and zero limits make ratio ties and degenerate
     # pivots common, so the sequential Bland tie-break decides many pivots.
     rng = random.Random(404)
     statuses = set()
     for _ in range(300):
+        pivot_budget()
         n, m = rng.randint(2, 8), rng.randint(2, 8)
         a = [[rng.choice([-2, -1, 0, 0, 1, 2, 0.5]) for _ in range(n)]
              for _ in range(m)]
@@ -244,6 +270,76 @@ def test_simplex_matches_row_by_row_reference_bit_for_bit():
         assert got.tobytes() == expected.tobytes()
         statuses.add(status)
     assert statuses == {solver.OPTIMAL, solver.UNBOUNDED}
+
+
+def dense_program(rng, n, m):
+    """Dense rows of +-1..20 that hold with some slack at a point of small
+    integers, as the solve benchmark's rows do in canonical form; a tenth of
+    the entries are zero, and a negative limit sends the row to phase 1."""
+    point = [rng.randint(1, 9) for _ in range(n)]
+    a, b = [], []
+    for _ in range(m):
+        row = [rng.choice((-1, 1)) * rng.randint(1, 20) * (rng.random() > 0.1)
+               for _ in range(n)]
+        a.append(row)
+        b.append(sum(v * x for v, x in zip(row, point)) + rng.randint(0, 50))
+    c = [rng.randint(-20, 20) for _ in range(n)]
+    return c, a, b
+
+
+def answer_bits(solution):
+    """Status, x and objective, each float as its exact hex text."""
+    x = None if solution.x is None else [v.hex() for v in solution.x]
+    value = solution.objective_value
+    return solution.status, x, None if value is None else value.hex()
+
+
+def test_solve_lp_matches_row_by_row_reference_end_to_end(
+        monkeypatch, pivot_budget, leftover_pivots):
+    """Phase 1, the leftover-artificial pivots and phase 2 together."""
+    rng = random.Random(1011)
+    programs = []
+    for _ in range(200):  # small, sparse, often infeasible or degenerate
+        n, m = rng.randint(1, 4), rng.randint(0, 6)
+        a = [[rng.choice((-2, -1, 0, 0, 1, 2, 0.5)) for _ in range(n)]
+             for _ in range(m)]
+        b = [rng.choice((-2, -1, -1, 0, 0, 1)) for _ in range(m)]
+        if m and rng.random() < 0.5:
+            # An equality, as a row and its negation, often leaves an
+            # artificial variable basic at level 0 after phase 1.
+            i = rng.randrange(m)
+            a.append([-v for v in a[i]])
+            b.append(-b[i])
+        programs.append(([rng.randint(-2, 3) for _ in range(n)], a, b))
+    for _ in range(100):  # ratios a fraction of eps apart: chains of near ties
+        n, m = rng.randint(2, 6), rng.randint(3, 8)
+        programs.append((
+            [rng.randint(-3, 2) for _ in range(n)],
+            [[rng.choice((0, 1, 1, 2, 3, -1)) for _ in range(n)] for _ in range(m)],
+            [rng.choice((0, 3e-8, 6e-8, 9e-8, 1.2e-7, 1.5e-7, 1)) for _ in range(m)],
+        ))
+    for size in range(5, 31):
+        programs += [dense_program(rng, size, rng.randint(5, 30)),
+                     dense_program(rng, rng.randint(5, 30), size)]
+    programs.append(dense_program(rng, 30, 30))
+    programs += [dense_program(rng, rng.randint(2, 12), rng.randint(2, 12))
+                 for _ in range(60)]
+    statuses, leftover, negated_zero = set(), 0, 0
+    for c, a, b in programs:
+        formulation = form(c, a, b)
+        pivot_budget()
+        leftover_pivots[0] = 0
+        got = answer_bits(solve_lp(formulation))
+        leftover += leftover_pivots[0] > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_run_simplex", reference_run_simplex)
+            patch.setattr(solver, "_pivot", reference_pivot)
+            assert got == answer_bits(solve_lp(formulation)), (c, a, b)
+        statuses.add(got[0])
+        # A negated row turns its zero entries into -0.0.
+        negated_zero += any(limit < 0 and 0 in row for row, limit in zip(a, b))
+    assert statuses == {solver.OPTIMAL, solver.INFEASIBLE, solver.UNBOUNDED}
+    assert leftover >= 10 and negated_zero >= 100
 
 
 def test_empty_program_is_optimal():
