@@ -7,13 +7,14 @@ Exit codes: 0 success, 1 validation error, 2 usage error.
 
 import functools
 import json
+import re
 import sys
 
 import click
 
 from . import augment as augment_mod
 from . import canonical, ingest, ir, metrics, noise, solver
-from .errors import ToolkitError
+from .errors import ToolkitError, ValidationError
 from .numbers import decode_json, parse_number
 
 
@@ -31,6 +32,10 @@ def _toolkit_errors(fn):
             sys.exit(1)
 
     return wrapper
+
+
+# Characters that would end a TSV field or row early.
+_ROW_BREAK_RE = re.compile(r"[\t\n\r]")
 
 
 def _write_output(text, output_path):
@@ -59,6 +64,11 @@ def augment_cmd(input_path, output_path):
     for problem in problems:
         source = augment_mod.augment_text(problem.text, problem.spans)
         target = ir.serialize_declarations(problem.gold or [])
+        for field, part in (("text", source), ("gold", target)):
+            if _ROW_BREAK_RE.search(part):
+                raise ValidationError(
+                    f"problem {problem.id!r}: a tab or line break would split "
+                    "its row", field=field)
         rows.append(f"{source}\t{target}")
     _write_output("\n".join(rows), output_path)
 

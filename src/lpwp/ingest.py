@@ -159,7 +159,9 @@ class Problem:
             return
         entries = self.order_mapping.entries
         # Gold must have a canonical form: one objective with a min/max
-        # direction, and no constraint row without a nonzero entry.
+        # direction, and no constraint row without a nonzero entry. It must
+        # also have an IR form that parses back: no blank name or direction,
+        # and unit objective coefficients.
         objectives = 0
         for i, decl in enumerate(self.gold):
             terms = decl.terms
@@ -176,6 +178,17 @@ class Problem:
                     objective_sign(decl.direction_text)
                 except StructureError as err:
                     raise ValidationError(str(err), field=f"gold[{i}]") from None
+                if not decl.name.strip():
+                    raise ValidationError("blank objective name", field=f"gold[{i}]")
+                # Loaded objectives hold the one _ONE, which count finds by
+                # identity, without comparing Fractions.
+                if [*decl.terms.values()].count(_ONE) != len(decl.terms):
+                    raise ValidationError(
+                        "objvar records cannot carry non-unit coefficients",
+                        field=f"gold[{i}]",
+                    )
+            elif not decl.direction_text.strip():
+                raise ValidationError("blank constraint direction", field=f"gold[{i}]")
             elif not any(terms.values()):
                 raise ValidationError(
                     "constraint row has no nonzero entry", field=f"gold[{i}]"

@@ -134,40 +134,6 @@ class _TokenStream:
     pos: int = 0
     diagnostics: list = field(default_factory=list)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def here(self):
-        return self.starts[self.pos]
-
-    def expect(self, token):
-        if self.peek() != token:
-            got = self.peek() or "end of input"
-            raise IrParseError(f"expected {token!r}, got {got!r}", self.here())
-        self._require_no_text_before()
-        self.pos += 1
-
-    def _require_no_text_before(self):
-        between = self.texts[self.pos]
-        if between.strip():
-            raise IrParseError(f"unexpected text {between.strip()!r}",
-                               self.here() - len(between))
-
-    def content(self, tag):
-        """Consume ``<tag> text </tag>`` and return the stripped text."""
-        self.expect(f"<{tag}>")
-        if self.pos >= len(self.tokens):
-            raise IrParseError(f"unterminated <{tag}>", self.here())
-        text = self.texts[self.pos]
-        start = self.here() - len(text)
-        if self.peek() != f"</{tag}>":
-            raise IrParseError(f"expected </{tag}>", self.here())
-        self.pos += 1
-        value = text.strip()
-        if not value:
-            raise IrParseError(f"empty <{tag}> content", start)
-        return value
-
 
 def _tokenize(ir: str) -> _TokenStream:
     parts = _TOKEN_RE.split(ir)
@@ -175,63 +141,26 @@ def _tokenize(ir: str) -> _TokenStream:
     return _TokenStream(parts[1::2], parts[0::2], ends[0::2])
 
 
-def _parse_coefficient(token, position):
-    if token == "ONE":
-        return Fraction(1)
+# The content readers: each returns its value or raises ValueError(message).
+def _read_coefficient(text):
+    if text == "ONE":
+        return _ONE
     try:
-        return parse_number(token)
+        return parse_number(text)
     except ValueError:
-        raise IrParseError(f"bad numeric value {token!r}", position)
+        raise ValueError(f"bad numeric value {text!r}") from None
 
 
-def _parse_terms(stream):
-    terms = {}
-    duplicates = []
-    while stream.peek() == "<VAR>":
-        pos = stream.here()
-        var = stream.content("VAR")
-        stream.expect("[TIMES]")
-        param_pos = stream.here()
-        coeff = _parse_coefficient(stream.content("PARAM"), param_pos)
-        if var in terms:
-            duplicates.append((var, pos))
-            terms[var] += coeff
-        else:
-            terms[var] = coeff
-    if not terms:
-        raise IrParseError("declaration has no terms", stream.here())
-    return terms, duplicates
+def _read_limit(text):
+    if text == "ONE":
+        raise ValueError("ONE is only valid as a coefficient")
+    return _read_coefficient(text)
 
 
-def _parse_one_declaration(stream):
-    stream.expect("<DECLARATION>")
-    head = stream.peek()
-    if head == "<OBJ_DIR>":
-        direction = stream.content("OBJ_DIR")
-        name = stream.content("OBJ_NAME")
-        stream.expect("[is]")
-        terms, duplicates = _parse_terms(stream)
-        decl = Declaration(OBJECTIVE, direction, terms, name=name)
-    elif head == "<CONST_DIR>":
-        direction = stream.content("CONST_DIR")
-        op = stream.content("OPERATOR")
-        if op not in OPERATORS:
-            raise IrParseError(f"unknown operator {op!r}", stream.here())
-        limit_pos = stream.here()
-        limit = stream.content("LIMIT")
-        if limit == "ONE":
-            raise IrParseError("ONE is only valid as a coefficient", limit_pos)
-        limit = _parse_coefficient(limit, limit_pos)
-        stream.expect("[is]")
-        terms, duplicates = _parse_terms(stream)
-        decl = Declaration(CONSTRAINT, direction, terms, operator=op, limit=limit)
-    else:
-        got = head or "end of input"
-        raise IrParseError(
-            f"expected <OBJ_DIR> or <CONST_DIR>, got {got!r}", stream.here()
-        )
-    stream.expect("</DECLARATION>")
-    return decl, duplicates
+def _read_operator(text):
+    if text not in OPERATORS:
+        raise ValueError(f"unknown operator {text!r}")
+    return text
 
 
 _OBJECTIVE_HEAD = ["<DECLARATION>", "<OBJ_DIR>", "</OBJ_DIR>", "<OBJ_NAME>",
@@ -239,17 +168,23 @@ _OBJECTIVE_HEAD = ["<DECLARATION>", "<OBJ_DIR>", "</OBJ_DIR>", "<OBJ_NAME>",
 _CONSTRAINT_HEAD = ["<DECLARATION>", "<CONST_DIR>", "</CONST_DIR>", "<OPERATOR>",
                     "</OPERATOR>", "<LIMIT>", "</LIMIT>", "[is]"]
 _TERM = ["<VAR>", "</VAR>", "[TIMES]", "<PARAM>", "</PARAM>"]
+_HEADS = {"<OBJ_DIR>": _OBJECTIVE_HEAD, "<CONST_DIR>": _CONSTRAINT_HEAD}
 _ONE = Fraction(1)
+# The text before each of these closing tags is a content. A failed read is
+# reported at the opening tag (offset -1), or after the content (offset 1).
+_CONTENTS = {"</OBJ_DIR>": None, "</OBJ_NAME>": None, "</CONST_DIR>": None,
+             "</OPERATOR>": (_read_operator, 1), "</LIMIT>": (_read_limit, -1),
+             "</VAR>": None, "</PARAM>": (_read_coefficient, -1)}
 
 
 def _read_well_formed(stream):
     """``(declaration, duplicates)`` at ``stream.pos`` if it is well-formed.
 
     The declaration is checked whole: its head and each term are compared
-    with their fixed token sequences, the texts between tokens must be
-    blank and the contents not, and the numbers must read. On any fault
-    this returns None and leaves the stream as it was, so that the walk of
-    ``_parse_one_declaration`` can name the first fault.
+    with their fixed token runs, the texts between tokens must be blank
+    and the contents not, and the contents must read. On any fault this
+    returns None and leaves the stream as it was, so that ``_first_fault``
+    can name the first fault.
     """
     tokens, texts, p = stream.tokens, stream.texts, stream.pos
     try:
@@ -266,33 +201,92 @@ def _read_well_formed(stream):
              after_limit) = texts[p:p + 8]
             if (before + after_decl + after_dir + after_op + after_limit).strip():
                 return None
-            direction, op, limit = direction.strip(), op.strip(), limit.strip()
-            if not direction or op not in OPERATORS or limit == "ONE":
+            direction = direction.strip()
+            if not direction:
                 return None
-            kind, name, limit, q = CONSTRAINT, None, parse_number(limit), p + 8
+            op, limit = _read_operator(op.strip()), _read_limit(limit.strip())
+            kind, name, q = CONSTRAINT, None, p + 8
         else:
             return None
         terms = {}
         duplicates = []
         while tokens[q:q + 5] == _TERM:
             before_var, var, before_times, before_param, coeff = texts[q:q + 5]
-            var, coeff = var.strip(), coeff.strip()
+            var = var.strip()
             if (before_var + before_times + before_param).strip() or not var:
                 return None
-            coeff = _ONE if coeff == "ONE" else parse_number(coeff)
+            coeff = _read_coefficient(coeff.strip())
             if var in terms:
                 duplicates.append((var, stream.starts[q]))
                 terms[var] += coeff
             else:
                 terms[var] = coeff
             q += 5
-    except ValueError:  # a number that does not read
+    except ValueError:  # a content that does not read
         return None
     if not terms or tokens[q:q + 1] != ["</DECLARATION>"] or texts[q].strip():
         return None
     stream.pos = q + 1
     decl = Declaration(kind, direction, terms, name=name, operator=op, limit=limit)
     return decl, duplicates
+
+
+def _run_fault(stream, start, run):
+    """``(message, position, index)`` of the first fault of ``run`` at ``start``.
+
+    The index is where reading stops: at the faulty token, or one past the
+    closing tag of a content that is empty or does not read.
+    """
+    tokens, texts, starts = stream.tokens, stream.texts, stream.starts
+    for i, token in enumerate(run, start):
+        got = tokens[i] if i < len(tokens) else None
+        text = texts[i]
+        if token in _CONTENTS:
+            if got is None:
+                return f"unterminated <{token[2:]}", starts[i], i
+            if got != token:
+                return f"expected {token}", starts[i], i
+            value = text.strip()
+            if not value:
+                return f"empty <{token[2:]} content", starts[i] - len(text), i + 1
+            if _CONTENTS[token]:
+                read, offset = _CONTENTS[token]
+                try:
+                    read(value)
+                except ValueError as failure:
+                    return str(failure), starts[i + offset], i + 1
+        elif got != token:
+            return f"expected {token!r}, got {got or 'end of input'!r}", starts[i], i
+        elif text.strip():
+            return f"unexpected text {text.strip()!r}", starts[i] - len(text), i
+    return None
+
+
+def _first_fault(stream):
+    """``(message, position, index)`` of the first fault at ``stream.pos``.
+
+    The declaration there is one that ``_read_well_formed`` rejected; it is
+    read along the same token runs, and the text before ``<DECLARATION>``
+    is checked before its head.
+    """
+    tokens, p = stream.tokens, stream.pos
+    after = (tokens[p + 1:p + 2] or ["end of input"])[0]
+    head = _HEADS.get(after)
+    fault = _run_fault(stream, p, head or ["<DECLARATION>"])
+    if fault:
+        return fault
+    if head is None:
+        return (f"expected <OBJ_DIR> or <CONST_DIR>, got {after!r}",
+                stream.starts[p + 1], p + 1)
+    q = p + len(head)
+    if tokens[q:q + 1] != ["<VAR>"]:
+        return "declaration has no terms", stream.starts[q], q
+    while tokens[q:q + 1] == ["<VAR>"]:
+        fault = _run_fault(stream, q, _TERM)
+        if fault:
+            return fault
+        q += len(_TERM)
+    return _run_fault(stream, q, ["</DECLARATION>"])
 
 
 def _resync(stream):
@@ -330,23 +324,22 @@ def parse_declarations(ir: str, mode: str = "strict"):
     while True:
         # Skip to the next declaration, flagging stray text/tokens on the way.
         while stream.pos < len(tokens) and tokens[stream.pos] != "<DECLARATION>":
-            fail(f"stray token {tokens[stream.pos]!r}", stream.here())
+            fail(f"stray token {tokens[stream.pos]!r}", stream.starts[stream.pos])
             stream.pos += 1
         if stream.pos == len(tokens):
             tail = stream.texts[-1]
             if tail.strip():
                 fail(f"stray text {tail.strip()!r}", len(ir) - len(tail))
             break
-        try:
-            decl, duplicates = (_read_well_formed(stream)
-                                or _parse_one_declaration(stream))
-        except IrParseError as failure:
-            message = failure.message
-            if stream.peek() is None:
+        read = _read_well_formed(stream)
+        if read is None:
+            message, position, stream.pos = _first_fault(stream)
+            if stream.pos >= len(tokens):
                 message = f"unterminated declaration ({message})"
-            fail(message, failure.position)
+            fail(message, position)
             _resync(stream)
             continue
+        decl, duplicates = read
         decls.append(decl)
         for var, pos in duplicates:
             stream.diagnostics.append(

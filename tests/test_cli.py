@@ -45,6 +45,25 @@ def test_augment_writes_file(runner, berry_dataset, tmp_path):
     assert out.read_text().count("\t") == 1
 
 
+@pytest.mark.parametrize("text, name, field", [
+    ("x\ty", "n", "text"),
+    ("x\ny", "n", "text"),
+    ("x\ry", "n", "text"),
+    ("x", "total\tcost", "gold"),
+], ids=["tab_in_text", "newline_in_text", "return_in_text", "tab_in_gold_name"])
+def test_augment_rejects_a_row_that_would_split(runner, tmp_path, text, name, field):
+    path = tmp_path / "d.jsonl"
+    split = ingest.Problem("split", text, [], ingest.OrderMapping({"x": 0}),
+                           gold=[ir.objective("min", name, {"x": 1})])
+    ingest.save_dataset([berry_problem(), split], path)
+    out = tmp_path / "train.tsv"
+    result = runner.invoke(main, ["augment", "--in", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == (f"error: [field {field}] problem 'split': a tab or "
+                             "line break would split its row\n")
+    assert not out.exists()
+
+
 def test_score_perfect_predictions(runner, berry_dataset, tmp_path):
     from lpwp import ir
 

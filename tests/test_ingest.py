@@ -257,11 +257,30 @@ OBJECTIVE_X = ir.objective("min", "n", {"x": Fraction(1)})
      "gold[1]"),
     ([ir.constraint("at most", ir.LESS_OR_EQUAL, 1, {"x": 1})], "gold"),
     ([OBJECTIVE_X, OBJECTIVE_X], "gold"),
-], ids=["direction_reduce", "zero_row", "no_objective", "two_objectives"])
+    ([ir.objective("min", "n", {"x": Fraction(2)})], "gold[0]"),
+    ([ir.objective("min", "", {"x": 1})], "gold[0]"),
+    ([ir.objective("min", " \t", {"x": 1})], "gold[0]"),
+    ([OBJECTIVE_X, ir.constraint("", ir.LESS_OR_EQUAL, 1, {"x": 1})], "gold[1]"),
+    ([OBJECTIVE_X, ir.constraint(" ", ir.LESS_OR_EQUAL, 1, {"x": 1})], "gold[1]"),
+], ids=["direction_reduce", "zero_row", "no_objective", "two_objectives",
+        "objective_coefficient", "empty_name", "blank_name", "empty_direction",
+        "blank_direction"])
 def test_problem_built_in_python_needs_gold_with_canonical_form(gold, field):
     with pytest.raises(ValidationError) as err:
         Problem("p", "x", [], OrderMapping({"x": 0}), gold=gold)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("gold, field", [
+    ([dict(BERRY_GOLD_RECORDS[0], name=""), *BERRY_GOLD_RECORDS[1:]], "gold[0]"),
+    ([BERRY_GOLD_RECORDS[0], dict(BERRY_GOLD_RECORDS[1], direction=" "),
+      *BERRY_GOLD_RECORDS[2:]], "gold[1]"),
+], ids=["blank_name", "blank_direction"])
+def test_load_rejects_gold_that_the_ir_cannot_write_back(tmp_path, gold, field):
+    write_jsonl(tmp_path / "d.jsonl", [berry_record(), berry_record(id="second", gold=gold)])
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert (err.value.line, err.value.field) == (2, field)
 
 
 def test_problem_built_in_python_serializes_saves_and_reloads(tmp_path):
@@ -550,8 +569,6 @@ def test_type_mutations_are_rejected_or_round_trip(data):
                                  "order_mapping": {"x": 0}}, JsonNumbers()),
      "text"),
     (Problem("bad", "x", [], OrderMapping({"x": 0}),
-             gold=[ir.objective("min", "n", {"x": Fraction(2)})]), "gold[0]"),
-    (Problem("bad", "x", [], OrderMapping({"x": 0}),
              gold=[ir.objective("min", "n", {"x": 1}),
                    ir.constraint("at most", "LESS_OR_EQUAL", Fraction(1, 3),
                                  {"x": 1})]), "gold[1]"),
@@ -559,8 +576,7 @@ def test_type_mutations_are_rejected_or_round_trip(data):
              gold=[ir.objective("min", "n", {"x": 1}),
                    ir.constraint("at most", "LESS_OR_EQUAL", 1,
                                  {"x": Fraction(1, 3)})]), "gold[1]"),
-], ids=["lone_surrogate", "objective_coefficient", "limit_one_third",
-        "coefficient_one_third"])
+], ids=["lone_surrogate", "limit_one_third", "coefficient_one_third"])
 def test_failed_save_leaves_the_target_as_it_was(tmp_path, problem, field):
     target = tmp_path / "d.jsonl"
     target.write_bytes(b"earlier contents\n")

@@ -1,8 +1,9 @@
 """The IR parser against a frozen copy of the token walk it replaced.
 
-``parse_declarations`` checks each declaration whole and walks it token by
-token only to name a fault. The walk below parses every declaration token
-by token; both must give the same declarations and diagnostics in lenient
+``parse_declarations`` checks each declaration whole against fixed token
+runs, and reads a declaration that fails the check along the same runs
+to name its first fault. The walk below parses every declaration token by
+token; both must give the same declarations and diagnostics in lenient
 mode, and the same result or the same error in strict mode.
 """
 
@@ -290,6 +291,14 @@ def test_parser_matches_the_token_walk_on_named_faults():
         "text " + objective.format(terms=term.format(var="x", gap=" ", coeff=1)),
         objective.format(terms=term.format(var="x", gap=" ", coeff=1)) + " tail",
         objective.format(terms=term.format(var="x", gap=" ", coeff=1))[:-20],
+        # Input that ends right after a content that does not read, or after
+        # [is]: each fault is wrapped as an unterminated declaration.
+        "<DECLARATION><CONST_DIR> at most </CONST_DIR><OPERATOR> EQUAL </OPERATOR>",
+        constraint.format(limit="ONE", terms="").partition(" [is]")[0],
+        constraint.format(limit="2x", terms="").partition(" [is]")[0],
+        objective.format(terms=term.format(var="x", gap=" ", coeff=" "))[:-14],
+        objective.format(terms=term.format(var="x", gap=" ", coeff="2x"))[:-14],
+        objective.format(terms="")[:-14],
     ]
     for text in cases:
         _assert_same(text)
