@@ -74,6 +74,15 @@ def check_spans(text: str, spans) -> list:
     return spans
 
 
+# An IR token inside a name, direction or variable would end its content
+# early, so the IR could not write it back.
+_TOKEN_RE = ir._TOKEN_RE
+
+
+def _not_ir_content(what, text, i):
+    return ValidationError(f"{what} {text!r} holds an IR token", field=f"gold[{i}]")
+
+
 @dataclass(frozen=True)
 class OrderMapping:
     """Assignment of variable surface names to canonical column indices."""
@@ -86,6 +95,12 @@ class OrderMapping:
         index = {}
         for key, column in self.entries.items():
             name = normalize_name(key)
+            if not name:
+                raise ValidationError(f"blank order mapping key {key!r}",
+                                      field="order_mapping")
+            if _TOKEN_RE.search(key):
+                raise ValidationError(f"order mapping key {key!r} holds an IR token",
+                                      field="order_mapping")
             if name in index:
                 first = next(k for k in self.entries if normalize_name(k) == name)
                 raise ValidationError(
@@ -150,10 +165,6 @@ class Problem:
         problem.order_mapping, problem.gold = self.order_mapping, self.gold
         return problem
 
-    def validate(self):
-        check_spans(self.text, self.spans)
-        self._validate_gold()
-
     def _validate_gold(self):
         if self.gold is None:
             return
@@ -161,7 +172,9 @@ class Problem:
         # Gold must have a canonical form: one objective with a min/max
         # direction, and no constraint row without a nonzero entry. It must
         # also have an IR form that parses back: no blank name or direction,
-        # and unit objective coefficients.
+        # no IR token in a name, direction or variable, and unit objective
+        # coefficients. An objective direction is a min/max word, so it
+        # holds no token.
         objectives = 0
         for i, decl in enumerate(self.gold):
             terms = decl.terms
@@ -171,6 +184,8 @@ class Problem:
                 terms = {}
                 for var, coeff in decl.terms.items():
                     column = self.order_mapping.resolve(var)
+                    if _TOKEN_RE.search(var):
+                        raise _not_ir_content("variable", var, i)
                     terms[column] = terms.get(column, 0) + coeff
             if decl.kind == ir.OBJECTIVE:
                 objectives += 1
@@ -180,6 +195,8 @@ class Problem:
                     raise ValidationError(str(err), field=f"gold[{i}]") from None
                 if not decl.name.strip():
                     raise ValidationError("blank objective name", field=f"gold[{i}]")
+                if _TOKEN_RE.search(decl.name):
+                    raise _not_ir_content("objective name", decl.name, i)
                 # Loaded objectives hold the one _ONE, which count finds by
                 # identity, without comparing Fractions.
                 if [*decl.terms.values()].count(_ONE) != len(decl.terms):
@@ -189,6 +206,8 @@ class Problem:
                     )
             elif not decl.direction_text.strip():
                 raise ValidationError("blank constraint direction", field=f"gold[{i}]")
+            elif _TOKEN_RE.search(decl.direction_text):
+                raise _not_ir_content("constraint direction", decl.direction_text, i)
             elif not any(terms.values()):
                 raise ValidationError(
                     "constraint row has no nonzero entry", field=f"gold[{i}]"

@@ -7,7 +7,7 @@ output and recovers whatever declarations it can.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
@@ -120,25 +120,16 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class _TokenStream:
-    """The tokens of an IR string, with the text before each and its start.
+def _tokenize(ir: str):
+    """``(tokens, texts, starts)``: the tokens of an IR string, the text
+    before each and where each starts.
 
     ``texts`` and ``starts`` hold one entry more than ``tokens``: the text
     after the last token, and the length of the input.
     """
-
-    tokens: list
-    texts: list
-    starts: list
-    pos: int = 0
-    diagnostics: list = field(default_factory=list)
-
-
-def _tokenize(ir: str) -> _TokenStream:
     parts = _TOKEN_RE.split(ir)
     ends = list(accumulate(map(len, parts)))
-    return _TokenStream(parts[1::2], parts[0::2], ends[0::2])
+    return parts[1::2], parts[0::2], ends[0::2]
 
 
 # The content readers: each returns its value or raises ValueError(message).
@@ -177,16 +168,15 @@ _CONTENTS = {"</OBJ_DIR>": None, "</OBJ_NAME>": None, "</CONST_DIR>": None,
              "</VAR>": None, "</PARAM>": (_read_coefficient, -1)}
 
 
-def _read_well_formed(stream):
-    """``(declaration, duplicates)`` at ``stream.pos`` if it is well-formed.
+def _read_well_formed(tokens, texts, starts, p):
+    """``(declaration, duplicates, index)`` if the declaration at ``p`` is
+    well-formed, where reading resumes at ``index``; else None.
 
     The declaration is checked whole: its head and each term are compared
     with their fixed token runs, the texts between tokens must be blank
     and the contents not, and the contents must read. On any fault this
-    returns None and leaves the stream as it was, so that ``_first_fault``
-    can name the first fault.
+    returns None, so that ``_first_fault`` can name the first fault.
     """
-    tokens, texts, p = stream.tokens, stream.texts, stream.pos
     try:
         if tokens[p:p + 6] == _OBJECTIVE_HEAD:
             before, after_decl, direction, after_dir, name, after_name = texts[p:p + 6]
@@ -217,7 +207,7 @@ def _read_well_formed(stream):
                 return None
             coeff = _read_coefficient(coeff.strip())
             if var in terms:
-                duplicates.append((var, stream.starts[q]))
+                duplicates.append((var, starts[q]))
                 terms[var] += coeff
             else:
                 terms[var] = coeff
@@ -226,18 +216,16 @@ def _read_well_formed(stream):
         return None
     if not terms or tokens[q:q + 1] != ["</DECLARATION>"] or texts[q].strip():
         return None
-    stream.pos = q + 1
     decl = Declaration(kind, direction, terms, name=name, operator=op, limit=limit)
-    return decl, duplicates
+    return decl, duplicates, q + 1
 
 
-def _run_fault(stream, start, run):
+def _run_fault(tokens, texts, starts, start, run):
     """``(message, position, index)`` of the first fault of ``run`` at ``start``.
 
     The index is where reading stops: at the faulty token, or one past the
     closing tag of a content that is empty or does not read.
     """
-    tokens, texts, starts = stream.tokens, stream.texts, stream.starts
     for i, token in enumerate(run, start):
         got = tokens[i] if i < len(tokens) else None
         text = texts[i]
@@ -262,44 +250,41 @@ def _run_fault(stream, start, run):
     return None
 
 
-def _first_fault(stream):
-    """``(message, position, index)`` of the first fault at ``stream.pos``.
+def _first_fault(tokens, texts, starts, p):
+    """``(message, position, index)`` of the first fault at ``p``.
 
     The declaration there is one that ``_read_well_formed`` rejected; it is
     read along the same token runs, and the text before ``<DECLARATION>``
     is checked before its head.
     """
-    tokens, p = stream.tokens, stream.pos
     after = (tokens[p + 1:p + 2] or ["end of input"])[0]
     head = _HEADS.get(after)
-    fault = _run_fault(stream, p, head or ["<DECLARATION>"])
+    fault = _run_fault(tokens, texts, starts, p, head or ["<DECLARATION>"])
     if fault:
         return fault
     if head is None:
         return (f"expected <OBJ_DIR> or <CONST_DIR>, got {after!r}",
-                stream.starts[p + 1], p + 1)
+                starts[p + 1], p + 1)
     q = p + len(head)
     if tokens[q:q + 1] != ["<VAR>"]:
-        return "declaration has no terms", stream.starts[q], q
+        return "declaration has no terms", starts[q], q
     while tokens[q:q + 1] == ["<VAR>"]:
-        fault = _run_fault(stream, q, _TERM)
+        fault = _run_fault(tokens, texts, starts, q, _TERM)
         if fault:
             return fault
         q += len(_TERM)
-    return _run_fault(stream, q, ["</DECLARATION>"])
+    return _run_fault(tokens, texts, starts, q, ["</DECLARATION>"])
 
 
-def _resync(stream):
-    """Skip past the current declaration after a lenient-mode failure."""
-    depth_start = stream.pos
-    while stream.pos < len(stream.tokens):
-        token = stream.tokens[stream.pos]
-        if token == "</DECLARATION>":
-            stream.pos += 1
-            return
-        if token == "<DECLARATION>" and stream.pos != depth_start:
-            return
-        stream.pos += 1
+def _resync(tokens, i):
+    """The index where lenient reading resumes after a fault at ``i``: one
+    past the next ``</DECLARATION>``, or a later ``<DECLARATION>``."""
+    for j in range(i, len(tokens)):
+        if tokens[j] == "</DECLARATION>":
+            return j + 1
+        if tokens[j] == "<DECLARATION>" and j != i:
+            return j
+    return len(tokens)
 
 
 def parse_declarations(ir: str, mode: str = "strict"):
@@ -311,38 +296,36 @@ def parse_declarations(ir: str, mode: str = "strict"):
     """
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode: {mode!r}")
-    stream = _tokenize(ir)
-    decls = []
+    tokens, texts, starts = _tokenize(ir)
+    decls, diagnostics = [], []
 
     def fail(message, position):
         error = IrParseError(message, position)
         if mode == "strict":
             raise error
-        stream.diagnostics.append(str(error))
+        diagnostics.append(str(error))
 
-    tokens = stream.tokens
-    while True:
-        # Skip to the next declaration, flagging stray text/tokens on the way.
-        while stream.pos < len(tokens) and tokens[stream.pos] != "<DECLARATION>":
-            fail(f"stray token {tokens[stream.pos]!r}", stream.starts[stream.pos])
-            stream.pos += 1
-        if stream.pos == len(tokens):
-            tail = stream.texts[-1]
-            if tail.strip():
-                fail(f"stray text {tail.strip()!r}", len(ir) - len(tail))
-            break
-        read = _read_well_formed(stream)
+    p = 0
+    while p < len(tokens):
+        if tokens[p] != "<DECLARATION>":
+            fail(f"stray token {tokens[p]!r}", starts[p])
+            p += 1
+            continue
+        read = _read_well_formed(tokens, texts, starts, p)
         if read is None:
-            message, position, stream.pos = _first_fault(stream)
-            if stream.pos >= len(tokens):
+            message, position, p = _first_fault(tokens, texts, starts, p)
+            if p >= len(tokens):
                 message = f"unterminated declaration ({message})"
             fail(message, position)
-            _resync(stream)
+            p = _resync(tokens, p)
             continue
-        decl, duplicates = read
+        decl, duplicates, p = read
         decls.append(decl)
-        for var, pos in duplicates:
-            stream.diagnostics.append(
-                f"char {pos}: duplicate variable {var!r}, coefficients summed"
+        for var, position in duplicates:
+            diagnostics.append(
+                f"char {position}: duplicate variable {var!r}, coefficients summed"
             )
-    return decls, stream.diagnostics
+    tail = texts[-1]
+    if tail.strip():
+        fail(f"stray text {tail.strip()!r}", len(ir) - len(tail))
+    return decls, diagnostics

@@ -24,6 +24,7 @@ from lpwp.solver import solve_lp
 
 from helpers import (
     BERRY_GOLD_RECORDS,
+    BERRY_MAPPING,
     BERRY_TEXT,
     MUTANT_VALUES,
     berry_problem,
@@ -262,9 +263,12 @@ OBJECTIVE_X = ir.objective("min", "n", {"x": Fraction(1)})
     ([ir.objective("min", " \t", {"x": 1})], "gold[0]"),
     ([OBJECTIVE_X, ir.constraint("", ir.LESS_OR_EQUAL, 1, {"x": 1})], "gold[1]"),
     ([OBJECTIVE_X, ir.constraint(" ", ir.LESS_OR_EQUAL, 1, {"x": 1})], "gold[1]"),
+    ([ir.objective("min", "a </OBJ_NAME> b", {"x": 1})], "gold[0]"),
+    ([OBJECTIVE_X, ir.constraint("at [is] most", ir.LESS_OR_EQUAL, 1, {"x": 1})],
+     "gold[1]"),
 ], ids=["direction_reduce", "zero_row", "no_objective", "two_objectives",
         "objective_coefficient", "empty_name", "blank_name", "empty_direction",
-        "blank_direction"])
+        "blank_direction", "name_token", "direction_token"])
 def test_problem_built_in_python_needs_gold_with_canonical_form(gold, field):
     with pytest.raises(ValidationError) as err:
         Problem("p", "x", [], OrderMapping({"x": 0}), gold=gold)
@@ -275,12 +279,81 @@ def test_problem_built_in_python_needs_gold_with_canonical_form(gold, field):
     ([dict(BERRY_GOLD_RECORDS[0], name=""), *BERRY_GOLD_RECORDS[1:]], "gold[0]"),
     ([BERRY_GOLD_RECORDS[0], dict(BERRY_GOLD_RECORDS[1], direction=" "),
       *BERRY_GOLD_RECORDS[2:]], "gold[1]"),
-], ids=["blank_name", "blank_direction"])
+    ([dict(BERRY_GOLD_RECORDS[0], name="a </OBJ_NAME> b"), *BERRY_GOLD_RECORDS[1:]],
+     "gold[0]"),
+    ([BERRY_GOLD_RECORDS[0], dict(BERRY_GOLD_RECORDS[1], direction="at [is] least"),
+      *BERRY_GOLD_RECORDS[2:]], "gold[1]"),
+], ids=["blank_name", "blank_direction", "name_token", "direction_token"])
 def test_load_rejects_gold_that_the_ir_cannot_write_back(tmp_path, gold, field):
     write_jsonl(tmp_path / "d.jsonl", [berry_record(), berry_record(id="second", gold=gold)])
     with pytest.raises(ValidationError) as err:
         ingest.load_dataset(tmp_path / "d.jsonl")
     assert (err.value.line, err.value.field) == (2, field)
+
+
+@pytest.mark.parametrize("mapping, gold, field", [
+    ({" ": 0}, [ir.objective("min", "n", {" ": 1})], "order_mapping"),
+    ({"x <PARAM> y": 0}, [ir.objective("min", "n", {"x <PARAM> y": 1})],
+     "order_mapping"),
+    ({"a <var> b": 0}, [ir.objective("min", "n", {"a <VAR> b": 1})], "gold[0]"),
+], ids=["blank_key", "key_token", "spelling_token"])
+def test_problem_rejects_variables_that_the_ir_cannot_carry(mapping, gold, field):
+    with pytest.raises(ValidationError) as err:
+        Problem("p", "x", [], OrderMapping(mapping), gold=gold)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"order_mapping": dict(BERRY_MAPPING, **{" ": 2})}, "order_mapping"),
+    ({"order_mapping": dict(BERRY_MAPPING, **{"x <PARAM> y": 2})}, "order_mapping"),
+    ({"order_mapping": dict(BERRY_MAPPING, **{"a <var> b": 2}),
+      "gold": [dict(BERRY_GOLD_RECORDS[0], vars=["farm 1", "A <VAR> B"]),
+               *BERRY_GOLD_RECORDS[1:]]}, "gold[0]"),
+], ids=["blank_key", "key_token", "spelling_token"])
+def test_load_rejects_variables_that_the_ir_cannot_carry(tmp_path, changes, field):
+    write_jsonl(tmp_path / "d.jsonl", [berry_record(), berry_record(id="second", **changes)])
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(tmp_path / "d.jsonl")
+    assert (err.value.line, err.value.field) == (2, field)
+
+
+# Text that may hold IR tokens, whole or in part, blanks and padding.
+# ``<var>`` is a token once upper-cased. Whole words are drawn often, so that
+# more gold gets past its first check.
+_IR_TEXT = st.one_of(
+    st.sampled_from(["cost", "x", " at  most ", "a <var> b"]),
+    st.lists(st.sampled_from(["x", "y", " ", "\t", "<VAR>", "<var>", "</OBJ_NAME>",
+                              "[is]", "[TIMES", "<", "/", ">"]),
+             max_size=4).map("".join),
+)
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_gold_that_builds_parses_back_from_its_ir(data):
+    """Gold that builds writes an IR target with the gold's canonical form."""
+    keys = data.draw(st.lists(_IR_TEXT, min_size=1, max_size=3, unique=True))
+
+    def spellings():  # of some keys: as keyed, padded or upper-cased
+        chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        return [data.draw(st.sampled_from([k, f" {k}  ", k.upper()])) for k in chosen]
+
+    gold = [ir.objective(data.draw(st.sampled_from(["min", " Maximise "])),
+                         data.draw(_IR_TEXT), dict.fromkeys(spellings(), 1))]
+    for _ in range(data.draw(st.integers(0, 2))):
+        terms = {var: data.draw(st.integers(-3, 3).filter(bool)) for var in spellings()}
+        gold.append(ir.constraint(
+            data.draw(_IR_TEXT), data.draw(st.sampled_from(ir.OPERATORS)),
+            data.draw(st.integers(-5, 5)), terms))
+    try:
+        problem = Problem("p", "x", [], OrderMapping({k: i for i, k in enumerate(keys)}),
+                          gold=gold)
+    except ValidationError:
+        return
+    parsed, _ = ir.parse_declarations(serialize_declarations(problem.gold), "strict")
+    mapping = problem.order_mapping
+    assert canonicalize(parsed, mapping) == canonicalize(problem.gold, mapping)
 
 
 def test_problem_built_in_python_serializes_saves_and_reloads(tmp_path):

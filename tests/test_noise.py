@@ -97,7 +97,9 @@ def test_output_spans_valid_and_non_overlapping():
             assert a.end <= b.start
         for s in problem.spans:
             assert 0 <= s.start < s.end <= len(problem.text)
-        problem.validate()  # ingest invariants still hold
+        # Rebuilding checks the ingest invariants again.
+        Problem(problem.id, problem.text, problem.spans, problem.order_mapping,
+                problem.gold)
 
 
 def test_gold_and_mapping_preserved():
