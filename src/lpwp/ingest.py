@@ -172,9 +172,9 @@ class Problem:
         # Gold must have a canonical form: one objective with a min/max
         # direction, and no constraint row without a nonzero entry. It must
         # also have an IR form that parses back: no blank name or direction,
-        # no IR token in a name, direction or variable, and unit objective
-        # coefficients. An objective direction is a min/max word, so it
-        # holds no token.
+        # no IR token in a name, direction or variable, unit objective
+        # coefficients, and constraint numbers with a terminating decimal.
+        # An objective direction is a min/max word, so it holds no token.
         objectives = 0
         for i, decl in enumerate(self.gold):
             terms = decl.terms
@@ -212,6 +212,20 @@ class Problem:
                 raise ValidationError(
                     "constraint row has no nonzero entry", field=f"gold[{i}]"
                 )
+            else:
+                # A chain, not a tuple as wide as the row: one such tuple
+                # per constraint, made while a load builds its problems,
+                # raised the peak memory of a solve pass.
+                for value in chain((decl.limit,), decl.terms.values()):
+                    # A decimal terminates when its denominator divides a
+                    # power of ten; 10**d.bit_length() is high enough.
+                    d = value.denominator
+                    if d != 1 and pow(10, d.bit_length(), d):
+                        try:
+                            format_number(value)  # raises, with save's message
+                        except ValueError as err:
+                            raise ValidationError(str(err),
+                                                  field=f"gold[{i}]") from None
         if objectives != 1:
             raise ValidationError("gold needs exactly one objective", field="gold")
 
@@ -497,9 +511,7 @@ def declarations_to_gold(decls) -> list:
 def problem_from_record(record, numbers: JsonNumbers, line=None) -> Problem:
     """Build a problem from one decoded JSON record, reading gold through ``numbers``."""
     try:
-        if type(record) is not dict:
-            raise _mismatch(record, dict)
-        return RECORD.read(numbers, [record])[0]
+        return read(record, RECORD, numbers)
     except ValidationError as err:
         err.line = line
         raise

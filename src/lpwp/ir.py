@@ -168,60 +168,9 @@ _CONTENTS = {"</OBJ_DIR>": None, "</OBJ_NAME>": None, "</CONST_DIR>": None,
              "</VAR>": None, "</PARAM>": (_read_coefficient, -1)}
 
 
-def _read_well_formed(tokens, texts, starts, p):
-    """``(declaration, duplicates, index)`` if the declaration at ``p`` is
-    well-formed, where reading resumes at ``index``; else None.
-
-    The declaration is checked whole: its head and each term are compared
-    with their fixed token runs, the texts between tokens must be blank
-    and the contents not, and the contents must read. On any fault this
-    returns None, so that ``_first_fault`` can name the first fault.
-    """
-    try:
-        if tokens[p:p + 6] == _OBJECTIVE_HEAD:
-            before, after_decl, direction, after_dir, name, after_name = texts[p:p + 6]
-            if (before + after_decl + after_dir + after_name).strip():
-                return None
-            direction, name = direction.strip(), name.strip()
-            if not direction or not name:
-                return None
-            kind, op, limit, q = OBJECTIVE, None, None, p + 6
-        elif tokens[p:p + 8] == _CONSTRAINT_HEAD:
-            (before, after_decl, direction, after_dir, op, after_op, limit,
-             after_limit) = texts[p:p + 8]
-            if (before + after_decl + after_dir + after_op + after_limit).strip():
-                return None
-            direction = direction.strip()
-            if not direction:
-                return None
-            op, limit = _read_operator(op.strip()), _read_limit(limit.strip())
-            kind, name, q = CONSTRAINT, None, p + 8
-        else:
-            return None
-        terms = {}
-        duplicates = []
-        while tokens[q:q + 5] == _TERM:
-            before_var, var, before_times, before_param, coeff = texts[q:q + 5]
-            var = var.strip()
-            if (before_var + before_times + before_param).strip() or not var:
-                return None
-            coeff = _read_coefficient(coeff.strip())
-            if var in terms:
-                duplicates.append((var, starts[q]))
-                terms[var] += coeff
-            else:
-                terms[var] = coeff
-            q += 5
-    except ValueError:  # a content that does not read
-        return None
-    if not terms or tokens[q:q + 1] != ["</DECLARATION>"] or texts[q].strip():
-        return None
-    decl = Declaration(kind, direction, terms, name=name, operator=op, limit=limit)
-    return decl, duplicates, q + 1
-
-
 def _run_fault(tokens, texts, starts, start, run):
-    """``(message, position, index)`` of the first fault of ``run`` at ``start``.
+    """``(None, (message, position), index)`` for the first fault of ``run``
+    at ``start``, a run that failed its check in ``_read_declaration``.
 
     The index is where reading stops: at the faulty token, or one past the
     closing tag of a content that is empty or does not read.
@@ -231,48 +180,91 @@ def _run_fault(tokens, texts, starts, start, run):
         text = texts[i]
         if token in _CONTENTS:
             if got is None:
-                return f"unterminated <{token[2:]}", starts[i], i
+                return None, (f"unterminated <{token[2:]}", starts[i]), i
             if got != token:
-                return f"expected {token}", starts[i], i
+                return None, (f"expected {token}", starts[i]), i
             value = text.strip()
             if not value:
-                return f"empty <{token[2:]} content", starts[i] - len(text), i + 1
+                return (None, (f"empty <{token[2:]} content", starts[i] - len(text)),
+                        i + 1)
             if _CONTENTS[token]:
                 read, offset = _CONTENTS[token]
                 try:
                     read(value)
                 except ValueError as failure:
-                    return str(failure), starts[i + offset], i + 1
+                    return None, (str(failure), starts[i + offset]), i + 1
         elif got != token:
-            return f"expected {token!r}, got {got or 'end of input'!r}", starts[i], i
+            return None, (f"expected {token!r}, got {got or 'end of input'!r}",
+                          starts[i]), i
         elif text.strip():
-            return f"unexpected text {text.strip()!r}", starts[i] - len(text), i
-    return None
+            return None, (f"unexpected text {text.strip()!r}", starts[i] - len(text)), i
 
 
-def _first_fault(tokens, texts, starts, p):
-    """``(message, position, index)`` of the first fault at ``p``.
+def _read_declaration(tokens, texts, starts, p):
+    """Read the declaration at ``p``: ``(declaration, duplicates, index)``,
+    or ``(None, (message, position), index)`` at its first fault, where
+    reading resumes or stops at ``index``.
 
-    The declaration there is one that ``_read_well_formed`` rejected; it is
-    read along the same token runs, and the text before ``<DECLARATION>``
-    is checked before its head.
+    The token after ``<DECLARATION>`` picks the head. The head, each term
+    and ``</DECLARATION>`` are then checked whole against their fixed token
+    runs: the texts between tokens must be blank, the contents not, and
+    the contents must read. The first run that fails its check is read
+    once more by ``_run_fault``, which names its first fault; every run
+    before it passed, so that is the declaration's first fault.
+    Duplicate variables found before a fault are dropped with it.
     """
-    after = (tokens[p + 1:p + 2] or ["end of input"])[0]
+    after = tokens[p + 1] if p + 1 < len(tokens) else "end of input"
     head = _HEADS.get(after)
-    fault = _run_fault(tokens, texts, starts, p, head or ["<DECLARATION>"])
-    if fault:
-        return fault
     if head is None:
-        return (f"expected <OBJ_DIR> or <CONST_DIR>, got {after!r}",
-                starts[p + 1], p + 1)
+        if texts[p].strip():  # text before <DECLARATION> comes first
+            return _run_fault(tokens, texts, starts, p, ["<DECLARATION>"])
+        return (None, (f"expected <OBJ_DIR> or <CONST_DIR>, got {after!r}",
+                       starts[p + 1]), p + 1)
     q = p + len(head)
-    if tokens[q:q + 1] != ["<VAR>"]:
-        return "declaration has no terms", starts[q], q
-    while tokens[q:q + 1] == ["<VAR>"]:
-        fault = _run_fault(tokens, texts, starts, q, _TERM)
-        if fault:
-            return fault
-        q += len(_TERM)
+    try:  # a head that fails its check raises ValueError
+        if tokens[p:q] != head:
+            raise ValueError
+        if head is _OBJECTIVE_HEAD:
+            before, after_decl, direction, after_dir, name, after_name = texts[p:q]
+            gaps = before + after_decl + after_dir + after_name
+            kind, name, op, limit = OBJECTIVE, name.strip(), None, None
+            if not name:
+                raise ValueError
+        else:
+            (before, after_decl, direction, after_dir, op, after_op, limit,
+             after_limit) = texts[p:q]
+            gaps = before + after_decl + after_dir + after_op + after_limit
+            kind, name = CONSTRAINT, None
+            op, limit = _read_operator(op.strip()), _read_limit(limit.strip())
+        direction = direction.strip()
+        if gaps.strip() or not direction:
+            raise ValueError
+    except ValueError:
+        return _run_fault(tokens, texts, starts, p, head)
+    terms = {}
+    duplicates = []
+    try:  # a term that fails its check stops the loop at its <VAR>
+        while tokens[q:q + 5] == _TERM:
+            before_var, var, before_times, before_param, coeff = texts[q:q + 5]
+            var = var.strip()
+            if (before_var + before_times + before_param).strip() or not var:
+                break
+            coeff = _read_coefficient(coeff.strip())
+            if var in terms:
+                duplicates.append((var, starts[q]))
+                terms[var] += coeff
+            else:
+                terms[var] = coeff
+            q += 5
+    except ValueError:
+        pass
+    if terms and tokens[q:q + 1] == ["</DECLARATION>"] and not texts[q].strip():
+        decl = Declaration(kind, direction, terms, name=name, operator=op, limit=limit)
+        return decl, duplicates, q + 1
+    if tokens[q:q + 1] == ["<VAR>"]:
+        return _run_fault(tokens, texts, starts, q, _TERM)
+    if not terms:
+        return None, ("declaration has no terms", starts[q]), q
     return _run_fault(tokens, texts, starts, q, ["</DECLARATION>"])
 
 
@@ -311,17 +303,16 @@ def parse_declarations(ir: str, mode: str = "strict"):
             fail(f"stray token {tokens[p]!r}", starts[p])
             p += 1
             continue
-        read = _read_well_formed(tokens, texts, starts, p)
-        if read is None:
-            message, position, p = _first_fault(tokens, texts, starts, p)
+        decl, found, p = _read_declaration(tokens, texts, starts, p)
+        if decl is None:
+            message, position = found
             if p >= len(tokens):
                 message = f"unterminated declaration ({message})"
             fail(message, position)
             p = _resync(tokens, p)
             continue
-        decl, duplicates, p = read
         decls.append(decl)
-        for var, position in duplicates:
+        for var, position in found:
             diagnostics.append(
                 f"char {position}: duplicate variable {var!r}, coefficients summed"
             )

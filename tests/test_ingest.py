@@ -6,12 +6,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lpwp import ingest, ir
 from lpwp.augment import augment_text
 from lpwp.canonical import canonicalize
+from lpwp.cli import main
 from lpwp.errors import (
     MappingError,
     UnsupportedDeclarationError,
@@ -266,9 +268,14 @@ OBJECTIVE_X = ir.objective("min", "n", {"x": Fraction(1)})
     ([ir.objective("min", "a </OBJ_NAME> b", {"x": 1})], "gold[0]"),
     ([OBJECTIVE_X, ir.constraint("at [is] most", ir.LESS_OR_EQUAL, 1, {"x": 1})],
      "gold[1]"),
+    ([OBJECTIVE_X, ir.constraint("at most", ir.LESS_OR_EQUAL, Fraction(1, 3),
+                                 {"x": 1})], "gold[1]"),
+    ([OBJECTIVE_X, ir.constraint("at most", ir.LESS_OR_EQUAL, 1,
+                                 {"x": Fraction(1, 3)})], "gold[1]"),
 ], ids=["direction_reduce", "zero_row", "no_objective", "two_objectives",
         "objective_coefficient", "empty_name", "blank_name", "empty_direction",
-        "blank_direction", "name_token", "direction_token"])
+        "blank_direction", "name_token", "direction_token", "limit_one_third",
+        "coefficient_one_third"])
 def test_problem_built_in_python_needs_gold_with_canonical_form(gold, field):
     with pytest.raises(ValidationError) as err:
         Problem("p", "x", [], OrderMapping({"x": 0}), gold=gold)
@@ -328,11 +335,18 @@ _IR_TEXT = st.one_of(
 )
 
 
+# Integers, decimals, and rationals with and without a terminating decimal.
+_GOLD_NUMBER = st.one_of(st.integers(-5, 5), st.decimals(-5, 5, places=2),
+                         st.fractions(-5, 5, max_denominator=40))
+
+
 @seed(20261019)
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_gold_that_builds_parses_back_from_its_ir(data):
-    """Gold that builds writes an IR target with the gold's canonical form."""
+    """Gold that builds saves and loads back equal, and ``lpwp augment``
+    either rejects its row or writes it as two fields, with an IR target of
+    the gold's canonical form."""
     keys = data.draw(st.lists(_IR_TEXT, min_size=1, max_size=3, unique=True))
 
     def spellings():  # of some keys: as keyed, padded or upper-cased
@@ -342,16 +356,29 @@ def test_gold_that_builds_parses_back_from_its_ir(data):
     gold = [ir.objective(data.draw(st.sampled_from(["min", " Maximise "])),
                          data.draw(_IR_TEXT), dict.fromkeys(spellings(), 1))]
     for _ in range(data.draw(st.integers(0, 2))):
-        terms = {var: data.draw(st.integers(-3, 3).filter(bool)) for var in spellings()}
+        terms = {var: data.draw(_GOLD_NUMBER.filter(bool)) for var in spellings()}
         gold.append(ir.constraint(
             data.draw(_IR_TEXT), data.draw(st.sampled_from(ir.OPERATORS)),
-            data.draw(st.integers(-5, 5)), terms))
+            data.draw(_GOLD_NUMBER), terms))
     try:
         problem = Problem("p", "x", [], OrderMapping({k: i for i, k in enumerate(keys)}),
                           gold=gold)
     except ValidationError:
         return
-    parsed, _ = ir.parse_declarations(serialize_declarations(problem.gold), "strict")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        ingest.save_dataset([problem], path)
+        assert ingest.load_dataset(path) == [problem]
+        result = CliRunner().invoke(main, ["augment", "--in", str(path)])
+    target = serialize_declarations(problem.gold)
+    if result.exit_code:  # a tab in the gold's text
+        assert "\t" in target
+        assert result.output.endswith("a tab or line break would split its row\n")
+        return
+    source = augment_text(problem.text, problem.spans)
+    assert result.output == f"{source}\t{target}\n"
+    assert len(result.output[:-1].split("\t")) == 2
+    parsed, _ = ir.parse_declarations(target, "strict")
     mapping = problem.order_mapping
     assert canonicalize(parsed, mapping) == canonicalize(problem.gold, mapping)
 
@@ -637,18 +664,25 @@ def test_type_mutations_are_rejected_or_round_trip(data):
         assert ingest.load_dataset(saved) == [problem]
 
 
+def with_gold_set_after_building(constraint):
+    """A problem whose gold gained ``constraint`` after it was built, which
+    ``Problem`` itself would reject."""
+    objective = ir.objective("min", "n", {"x": 1})
+    problem = Problem("bad", "x", [], OrderMapping({"x": 0}), gold=[objective])
+    problem.gold = [objective, constraint]
+    return problem
+
+
 @pytest.mark.parametrize("problem, field", [
     (ingest.problem_from_record({"id": "bad", "text": "x\ud800", "spans": [],
                                  "order_mapping": {"x": 0}}, JsonNumbers()),
      "text"),
-    (Problem("bad", "x", [], OrderMapping({"x": 0}),
-             gold=[ir.objective("min", "n", {"x": 1}),
-                   ir.constraint("at most", "LESS_OR_EQUAL", Fraction(1, 3),
-                                 {"x": 1})]), "gold[1]"),
-    (Problem("bad", "x", [], OrderMapping({"x": 0}),
-             gold=[ir.objective("min", "n", {"x": 1}),
-                   ir.constraint("at most", "LESS_OR_EQUAL", 1,
-                                 {"x": Fraction(1, 3)})]), "gold[1]"),
+    (with_gold_set_after_building(
+        ir.constraint("at most", "LESS_OR_EQUAL", Fraction(1, 3), {"x": 1})),
+     "gold[1]"),
+    (with_gold_set_after_building(
+        ir.constraint("at most", "LESS_OR_EQUAL", 1, {"x": Fraction(1, 3)})),
+     "gold[1]"),
 ], ids=["lone_surrogate", "limit_one_third", "coefficient_one_third"])
 def test_failed_save_leaves_the_target_as_it_was(tmp_path, problem, field):
     target = tmp_path / "d.jsonl"

@@ -1,10 +1,11 @@
 """The IR parser against a frozen copy of the token walk it replaced.
 
-``parse_declarations`` checks each declaration whole against fixed token
-runs, and reads a declaration that fails the check along the same runs
-to name its first fault. The walk below parses every declaration token by
-token; both must give the same declarations and diagnostics in lenient
-mode, and the same result or the same error in strict mode.
+``parse_declarations`` checks each run of a declaration (its head, each
+term and ``</DECLARATION>``) whole against a fixed token run, and reads
+only the first run that fails its check once more, to name its first
+fault. The walk below parses every declaration token by token; both must
+give the same declarations and diagnostics in lenient mode, and the same
+result or the same error in strict mode.
 """
 
 import random
@@ -279,6 +280,13 @@ def test_parser_matches_the_token_walk_on_named_faults():
                   "LESS_OR_EQUAL </OPERATOR><LIMIT> {limit} </LIMIT> [is] "
                   "{terms}</DECLARATION>")
     term = "<VAR> {var} </VAR>{gap}[TIMES] <PARAM> {coeff} </PARAM>"
+    # A run that fails its check after runs that passed: the duplicate
+    # variable before a bad coefficient or before text is not reported.
+    duplicate_then_fault = [
+        objective.format(terms=2 * term.format(var="x", gap=" ", coeff=2)
+                         + term.format(var="y", gap=" ", coeff="2x")),
+        objective.format(terms=2 * term.format(var="x", gap=" ", coeff=2) + " so "),
+    ]
     cases = [
         objective.format(terms=term.format(var="x", gap=" y ", coeff=1)),
         objective.format(terms=term.format(var="x", gap=" \t", coeff=1)),
@@ -299,6 +307,14 @@ def test_parser_matches_the_token_walk_on_named_faults():
         objective.format(terms=term.format(var="x", gap=" ", coeff=" "))[:-14],
         objective.format(terms=term.format(var="x", gap=" ", coeff="2x"))[:-14],
         objective.format(terms="")[:-14],
+        *duplicate_then_fault,
+        objective.format(terms=term.format(var="x", gap=" ", coeff=1)
+                         + "<VAR> y </VAR>"),
+        objective.format(terms=""),
+        "<DECLARATION><VAR> x </VAR>",
+        "<DECLARATION>",
     ]
     for text in cases:
         _assert_same(text)
+    for text in duplicate_then_fault:
+        assert not any("duplicate" in d for d in parse_declarations(text, "lenient")[1])
