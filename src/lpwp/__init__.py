@@ -4,6 +4,10 @@ Covers the non-neural pipeline around a text-to-text model: named-entity
 tag augmentation, the XML-style intermediate representation, canonical
 minimize / upper-bound form, declaration-level accuracy and span micro-F1
 scoring, seeded span-noise simulation, and a small dense LP solver.
+
+The solver is the only part that uses numpy, so it is imported on first
+use: ``lpwp.solve_lp``, ``lpwp.LpSolution`` and ``lpwp.solver`` load it
+when first looked up, and ``import lpwp`` alone does not import numpy.
 """
 
 from .augment import augment_text, strip_tags
@@ -24,7 +28,6 @@ from .ingest import (
 from .ir import Declaration, parse_declarations, serialize_declarations
 from .metrics import F1Report, ScoreReport, micro_f1, score_accuracy
 from .noise import NoiseConfig, NoiseReport, corrupt_spans
-from .solver import LpSolution, solve_lp
 
 __all__ = [
     "CanonicalFormulation",
@@ -52,3 +55,20 @@ __all__ = [
     "solve_lp",
     "strip_tags",
 ]
+
+_SOLVER_NAMES = ("LpSolution", "solve_lp", "solver")
+
+
+def __getattr__(name):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import binds ``solver`` here; the other two are bound as well, so
+    # that this runs once.
+    from .solver import LpSolution, solve_lp
+
+    globals().update(LpSolution=LpSolution, solve_lp=solve_lp)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_SOLVER_NAMES})

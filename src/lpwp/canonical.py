@@ -17,6 +17,9 @@ from .ingest import OrderMapping, objective_sign
 from .numbers import exact, format_number
 
 DEFAULT_TOLERANCE = Fraction(1, 10**9)
+# The simplex's pivot tolerance, kept here so that ``lpwp solve --help`` can
+# show it without importing the solver and numpy.
+DEFAULT_EPS = 1e-7
 
 
 @dataclass

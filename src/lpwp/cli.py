@@ -13,7 +13,7 @@ import sys
 import click
 
 from . import augment as augment_mod
-from . import canonical, ingest, ir, metrics, noise, solver
+from . import canonical, ingest, ir, metrics, noise
 from .errors import ToolkitError, ValidationError
 from .numbers import decode_json, parse_number
 
@@ -69,6 +69,13 @@ def augment_cmd(input_path, output_path):
                 raise ValidationError(
                     f"problem {problem.id!r}: a tab or line break would split "
                     "its row", field=field)
+        # strip_tags would read such a run as a tag, so the row could not
+        # be stripped back to its text and spans.
+        tag = "<" in problem.text and augment_mod._TAG_RE.search(problem.text)
+        if tag:
+            raise ValidationError(
+                f"problem {problem.id!r}: tag-like run {tag.group()!r} at "
+                f"position {tag.start()}", field="text")
         rows.append(f"{source}\t{target}")
     _write_output("\n".join(rows), output_path)
 
@@ -181,10 +188,12 @@ def ner_f1_cmd(ref_path, hyp_path):
 
 @main.command("solve")
 @click.option("--in", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--eps", type=float, default=solver.DEFAULT_EPS, show_default=True)
+@click.option("--eps", type=float, default=canonical.DEFAULT_EPS, show_default=True)
 @_toolkit_errors
 def solve_cmd(input_path, eps):
     """Solve a canonical formulation JSON and print the solution JSON."""
+    from . import solver  # imports numpy, which no other command needs
+
     with open(input_path, encoding="utf-8") as fh:
         data = decode_json(fh.read())
     formulation = solver.formulation_from_json_dict(data)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .canonical import CanonicalFormulation
+from .canonical import DEFAULT_EPS, CanonicalFormulation
 from .errors import StructureError, ValidationError
 from .ingest import NUMBER, Record, read
 from .numbers import JsonNumbers
@@ -27,7 +27,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 MAX_SIZE = 100
-DEFAULT_EPS = 1e-7
 
 
 @dataclass

@@ -64,6 +64,25 @@ def test_augment_rejects_a_row_that_would_split(runner, tmp_path, text, name, fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, spans, run, position", [
+    ("buy <VAR> x", [ingest.EntitySpan(10, 11, "VAR")], "<VAR>", 4),
+    ("a <B> b", [], "<B>", 2),
+    ("x </LIMIT>", [ingest.EntitySpan(0, 1, "VAR")], "</LIMIT>", 2),
+], ids=["label_tag", "unknown_tag", "closing_tag"])
+def test_augment_rejects_text_that_holds_a_tag_like_run(runner, tmp_path, text, spans,
+                                                        run, position):
+    path = tmp_path / "d.jsonl"
+    tagged = ingest.Problem("tag", text, spans, ingest.OrderMapping({"x": 0}),
+                            gold=[ir.objective("min", "n", {"x": 1})])
+    ingest.save_dataset([berry_problem(), tagged], path)
+    out = tmp_path / "train.tsv"
+    result = runner.invoke(main, ["augment", "--in", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == (f"error: [field text] problem 'tag': tag-like run "
+                             f"{run!r} at position {position}\n")
+    assert not out.exists()
+
+
 def test_score_perfect_predictions(runner, berry_dataset, tmp_path):
     from lpwp import ir
 

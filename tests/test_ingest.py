@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from lpwp import ingest, ir
-from lpwp.augment import augment_text
+from lpwp.augment import _TAG_RE, augment_text, strip_tags
 from lpwp.canonical import canonicalize
 from lpwp.cli import main
 from lpwp.errors import (
@@ -340,13 +340,31 @@ _GOLD_NUMBER = st.one_of(st.integers(-5, 5), st.decimals(-5, 5, places=2),
                          st.fractions(-5, 5, max_denominator=40))
 
 
+# Problem text: letters, blanks, tag characters, tag names and whole tags.
+_PROBLEM_TEXT = st.lists(
+    st.sampled_from(["a", "b", " ", "\t", "<", ">", "/", "[", "VAR", "LIMIT", "B",
+                     "<VAR>", "</LIMIT>", "<B>"]),
+    min_size=1, max_size=6).map("".join)
+
+
+def _draw_spans(data, text):
+    """Non-overlapping spans of ``text``, each between two drawn cut points."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)), min_size=1,
+                                     max_size=5, unique=True)))
+    return [EntitySpan(start, end, data.draw(st.sampled_from(ingest.LABELS)))
+            for start, end in zip(cuts[::2], cuts[1::2])]
+
+
 @seed(20261019)
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_gold_that_builds_parses_back_from_its_ir(data):
     """Gold that builds saves and loads back equal, and ``lpwp augment``
-    either rejects its row or writes it as two fields, with an IR target of
+    either rejects its row, naming why, or writes it as two fields: a source
+    that strips back to the problem's text and spans, and an IR target of
     the gold's canonical form."""
+    text = data.draw(_PROBLEM_TEXT)
+    spans = _draw_spans(data, text)
     keys = data.draw(st.lists(_IR_TEXT, min_size=1, max_size=3, unique=True))
 
     def spellings():  # of some keys: as keyed, padded or upper-cased
@@ -361,8 +379,8 @@ def test_gold_that_builds_parses_back_from_its_ir(data):
             data.draw(_IR_TEXT), data.draw(st.sampled_from(ir.OPERATORS)),
             data.draw(_GOLD_NUMBER), terms))
     try:
-        problem = Problem("p", "x", [], OrderMapping({k: i for i, k in enumerate(keys)}),
-                          gold=gold)
+        problem = Problem("p", text, spans,
+                          OrderMapping({k: i for i, k in enumerate(keys)}), gold=gold)
     except ValidationError:
         return
     with tempfile.TemporaryDirectory() as tmp:
@@ -370,14 +388,24 @@ def test_gold_that_builds_parses_back_from_its_ir(data):
         ingest.save_dataset([problem], path)
         assert ingest.load_dataset(path) == [problem]
         result = CliRunner().invoke(main, ["augment", "--in", str(path)])
-    target = serialize_declarations(problem.gold)
-    if result.exit_code:  # a tab in the gold's text
-        assert "\t" in target
-        assert result.output.endswith("a tab or line break would split its row\n")
-        return
     source = augment_text(problem.text, problem.spans)
+    target = serialize_declarations(problem.gold)
+    split = [field for field, part in (("text", source), ("gold", target))
+             if "\t" in part]
+    tag = _TAG_RE.search(problem.text)
+    if split:
+        assert result.stderr == (f"error: [field {split[0]}] problem 'p': a tab "
+                                 "or line break would split its row\n")
+    elif tag:
+        assert result.stderr == (f"error: [field text] problem 'p': tag-like run "
+                                 f"{tag.group()!r} at position {tag.start()}\n")
+    if split or tag:
+        assert result.exit_code == 1
+        return
+    assert result.exit_code == 0
     assert result.output == f"{source}\t{target}\n"
     assert len(result.output[:-1].split("\t")) == 2
+    assert strip_tags(source) == (problem.text, problem.spans)
     parsed, _ = ir.parse_declarations(target, "strict")
     mapping = problem.order_mapping
     assert canonicalize(parsed, mapping) == canonicalize(problem.gold, mapping)
