@@ -157,11 +157,16 @@ class Problem:
         Only the spans are checked: the text, order mapping and gold are
         this problem's, which passed their checks when it was built.
         """
+        return self.with_checked_spans(check_spans(self.text, spans))
+
+    def with_checked_spans(self, spans: list) -> "Problem":
+        """A copy of this problem with ``spans``, a list that
+        ``check_spans`` returned for this problem's text; nothing is
+        checked again."""
         problem = object.__new__(Problem)  # __post_init__ would check all
         # Set in field order, as __init__ does, so that instances share
         # one key table and stay as small as built ones.
-        problem.id, problem.text = self.id, self.text
-        problem.spans = check_spans(self.text, spans)
+        problem.id, problem.text, problem.spans = self.id, self.text, spans
         problem.order_mapping, problem.gold = self.order_mapping, self.gold
         return problem
 

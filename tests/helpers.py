@@ -191,6 +191,19 @@ def random_problem(rng, pid):
     )
 
 
+def matching_chain(n):
+    """Gold ``x <= j`` for j = 0..n, and predictions ``x <= i + 1/2`` for
+    i < n, then ``x <= -1/2``. At ``tol = 1/2`` each prediction is close to
+    two golds, the last one starts an augmenting path through all of them,
+    and a perfect matching exists."""
+    def row(limit):
+        return ir.constraint("at most", ir.LESS_OR_EQUAL, limit, {"x": Fraction(1)})
+
+    gold = [row(Fraction(j)) for j in range(n + 1)]
+    pred = [row(Fraction(2 * i + 1, 2)) for i in range(n)] + [row(Fraction(-1, 2))]
+    return gold, pred
+
+
 # --- Type mutations: one value of a valid record replaced by another -------
 
 # One value of each JSON type, plus strings that mean something somewhere.

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from lpwp import ingest, ir
 from lpwp.cli import main
 
-from helpers import MUTANT_VALUES, berry_problem, json_paths, replace_at
+from helpers import (MUTANT_VALUES, berry_problem, json_paths, matching_chain,
+                     replace_at)
 
 
 @pytest.fixture
@@ -106,6 +107,22 @@ def test_score_lenient_on_garbage(runner, berry_dataset, tmp_path):
     report = json.loads(result.stdout)
     assert report["accuracy"] == 0.0
     assert report["per_example"][0]["FN"] == 3
+
+
+def test_score_at_a_positive_tolerance_survives_a_long_augmenting_path(runner, tmp_path):
+    gold, pred = matching_chain(2000)
+    objective = ir.objective("minimize", "cost", {"x": 1})
+    path = tmp_path / "chain.jsonl"
+    ingest.save_dataset([ingest.Problem("chain", "x", [], ingest.OrderMapping({"x": 0}),
+                                        gold=[objective, *gold])], path)
+    preds = tmp_path / "chain.ir"
+    preds.write_text(ir.serialize_declarations([objective, *pred]) + "\n")
+    result = runner.invoke(main, ["score", "--gold", str(path), "--pred", str(preds),
+                                  "--tol", "0.5"])
+    assert result.exit_code == 0, result.output
+    (example,) = json.loads(result.stdout)["per_example"]
+    assert (example["D"], example["FP"], example["FN"]) == (2002, 0, 0)
+    assert result.stderr == ""
 
 
 def test_score_line_count_mismatch(runner, berry_dataset, tmp_path):

@@ -9,7 +9,7 @@ from lpwp.errors import ValidationError
 from lpwp.ingest import EntitySpan, OrderMapping
 from lpwp.metrics import micro_f1, score_accuracy
 
-from helpers import berry_problem, random_declaration
+from helpers import berry_problem, matching_chain, random_declaration
 
 
 def oracle_max_matching(pred, gold, mapping, tol=Fraction(1, 10**9)):
@@ -121,6 +121,33 @@ def test_matching_is_maximum_when_tolerance_is_not_transitive():
     )
     example = report.per_example[0]
     assert (example.fp, example.fn) == (0, 0)
+
+
+def test_long_augmenting_path_does_not_overflow_the_stack():
+    gold, pred = matching_chain(2000)
+    report = score_accuracy({"e": gold}, {"e": pred},
+                            {"e": OrderMapping({"x": 0})}, Fraction(1, 2))
+    example = report.per_example[0]
+    assert (example.d, example.fp, example.fn) == (2001, 0, 0)
+
+
+def test_close_calls_grow_linearly_on_the_chain(monkeypatch):
+    # Each prediction is compared only with the golds in its window, two
+    # on the chain, not with all n + 1 of them.
+    calls = 0
+    close = metrics._close
+
+    def counting_close(*args):
+        nonlocal calls
+        calls += 1
+        return close(*args)
+
+    monkeypatch.setattr(metrics, "_close", counting_close)
+    n = 500  # short enough for the path to fit the stack without the window
+    gold, pred = matching_chain(n)
+    score_accuracy({"e": gold}, {"e": pred}, {"e": OrderMapping({"x": 0})},
+                   Fraction(1, 2))
+    assert calls <= 3 * (n + 1)
 
 
 @pytest.mark.parametrize("bad", [

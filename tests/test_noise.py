@@ -1,11 +1,16 @@
+import hashlib
 import logging
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpwp.ingest import (EntitySpan, OrderMapping, Problem, load_dataset,
+from lpwp import noise
+from lpwp.ingest import (LABELS, EntitySpan, OrderMapping, Problem, load_dataset,
                          save_dataset)
+from lpwp.metrics import F1Report, micro_f1
 from lpwp.noise import NoiseConfig, corrupt_spans
 
 from helpers import berry_problem, random_problem
@@ -213,6 +218,78 @@ def test_building_loading_and_corrupting_log_nothing(caplog, tmp_path):
     assert caplog.records == []
     assert loaded == problems
     assert report.n_shift_fallback > 0
+
+
+@st.composite
+def packed_problems(draw):
+    """A problem whose spans are 1-4 characters long, 0-2 apart, so many
+    touch or sit one character from the next."""
+    spans, pos = [], draw(st.integers(0, 2))
+    for gap, length, label in draw(st.lists(st.tuples(
+            st.integers(0, 2), st.integers(1, 4), st.sampled_from(LABELS)),
+            max_size=12)):
+        spans.append(EntitySpan(pos, pos + length, label))
+        pos += length + gap
+    return Problem("p", "x" * (pos + draw(st.integers(0, 2))), spans,
+                   OrderMapping({}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems=st.lists(packed_problems(), min_size=1, max_size=4),
+       order=st.lists(st.integers(0, 3), max_size=8),
+       p=st.floats(0, 1), seed=st.integers(0, 2**32), shift_max=st.integers(1, 7))
+def test_report_equals_micro_f1_of_the_noisy_corpus(problems, order, p, seed, shift_max):
+    # The same problem object may appear more than once in the corpus.
+    corpus = [problems[i % len(problems)] for i in order]
+    noisy, report = corrupt_spans(corpus, NoiseConfig(p=p, seed=seed,
+                                                      shift_max=shift_max))
+    f1 = micro_f1(dict(enumerate(q.spans for q in corpus)),
+                  dict(enumerate(q.spans for q in noisy)))
+    assert F1Report(**{k: getattr(report, k) for k in vars(f1)}) == f1
+    n_spans = sum(len(q.spans) for q in corpus)
+    assert (report.n_drop + report.n_mislabel + report.n_shift
+            + report.n_shift_fallback) == int(p * n_spans + 0.5)
+
+
+def test_noisy_file_is_pinned(tmp_path):
+    # Any change in the order of the random draws changes this file.
+    rng = random.Random(20261019)
+    problems = [random_problem(rng, f"p{i}") for i in range(200)]
+    adjacent = Problem("adj", "abcdefgh",
+                       [EntitySpan(i, i + 1, "PARAM") for i in range(8)],
+                       OrderMapping({}))
+    problems += [adjacent, problems[0], adjacent,
+                 Problem("a", "a", [EntitySpan(0, 1, "PARAM")], OrderMapping({}))]
+    noisy, report = corrupt_spans(problems, NoiseConfig(p=0.6, seed=17, shift_max=2))
+    save_dataset(noisy, tmp_path / "noisy.jsonl")
+    assert hashlib.sha256((tmp_path / "noisy.jsonl").read_bytes()).hexdigest() == (
+        "739bb65e45d4f5984e58e7ec903824a7531a71d103e920df4adbcce7857949ef")
+    assert (report.true_positives, report.false_positives, report.false_negatives,
+            report.n_drop, report.n_mislabel, report.n_shift,
+            report.n_shift_fallback) == (445, 442, 667, 223, 222, 220, 2)
+
+
+def test_overlap_tests_grow_with_the_shift_draws(monkeypatch):
+    # A candidate place is tested only against the spans it could reach,
+    # not against every span of the problem.
+    counts = {"overlaps": 0, "draws": 0}
+    overlaps = noise._overlaps
+
+    def counting_overlaps(a, b):
+        counts["overlaps"] += 1
+        return overlaps(a, b)
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            counts["draws"] += 1
+            return super().randint(a, b)
+
+    monkeypatch.setattr(noise, "_overlaps", counting_overlaps)
+    monkeypatch.setattr(noise.random, "Random", CountingRandom)
+    (problem,) = make_corpus(1, 20000)
+    _, report = corrupt_spans([problem], NoiseConfig(p=1.0, seed=3))
+    assert report.n_shift > 6000
+    assert counts["overlaps"] <= 4 * counts["draws"]
 
 
 def test_invalid_config_rejected():
