@@ -86,6 +86,22 @@ def canonicalize_declaration(decl, mapping: OrderMapping):
     return kind, vector if sign == 1 else [-v for v in vector]
 
 
+def _negated(vector, negations) -> list:
+    """``[-v for v in vector]``, negating each distinct entry once.
+
+    ``negations`` maps ``id(v)`` to ``(v, -v)``. Holding ``v`` keeps its id
+    from passing to another object while the memo lives: an entry summed
+    from two spellings of one variable is held by nothing else.
+    """
+    out = []
+    for v in vector:
+        pair = negations.get(id(v))
+        if pair is None:
+            pair = negations[id(v)] = v, -v
+        out.append(pair[1])
+    return out
+
+
 def canonicalize(decls, mapping: OrderMapping) -> CanonicalFormulation:
     """Build the canonical matrices from declarations plus an order mapping."""
     objectives = [d for d in decls if d.kind == ir.OBJECTIVE]
@@ -93,7 +109,12 @@ def canonicalize(decls, mapping: OrderMapping) -> CanonicalFormulation:
         raise StructureError(
             f"expected exactly one objective, found {len(objectives)}"
         )
-    forms = [canonicalize_declaration(d, mapping) for d in decls]
+    # A load reads each distinct number once, so rows share their entries.
+    negations = {}
+    forms = []
+    for decl in decls:
+        kind, vector, sign = canonical_parts(decl, mapping)
+        forms.append((kind, vector if sign == 1 else _negated(vector, negations)))
     rows = [v for kind, v in forms if kind == ir.CONSTRAINT]
     return CanonicalFormulation(
         n_vars=mapping.n_vars,

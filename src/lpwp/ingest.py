@@ -42,7 +42,7 @@ def objective_sign(direction_text: str) -> int:
     return sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntitySpan:
     start: int
     end: int
@@ -50,10 +50,19 @@ class EntitySpan:
 
 
 def check_spans(text: str, spans) -> list:
-    """``spans`` sorted by ``(start, end)``; rejects unknown labels,
-    out-of-bounds spans and overlaps."""
-    spans = sorted(spans, key=attrgetter("start", "end"))
+    """``spans`` sorted by ``(start, end)``; rejects offsets that are not
+    ints, unknown labels, out-of-bounds spans and overlaps."""
+    spans = list(spans)
+    try:
+        spans.sort(key=attrgetter("start", "end"))
+    except TypeError:  # offsets that do not compare, rejected below
+        pass
     for span in spans:
+        if type(span.start) is not int or type(span.end) is not int:
+            raise ValidationError(
+                f"span offsets ({span.start!r}, {span.end!r}) are not both ints",
+                field="spans",
+            )
         if span.label not in LABELS:
             raise ValidationError(
                 f"unknown span label {span.label!r}", field="spans"
@@ -83,17 +92,26 @@ def _not_ir_content(what, text, i):
     return ValidationError(f"{what} {text!r} holds an IR token", field=f"gold[{i}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderMapping:
     """Assignment of variable surface names to canonical column indices."""
 
     entries: dict
-    # normalize_name(key) -> index, derived from ``entries``.
+    # normalize_name(key) -> index, derived from ``entries``: ``entries``
+    # itself when every key is in normal form, else a dict of its own.
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {}
         for key, column in self.entries.items():
+            if type(key) is not str:
+                raise ValidationError(f"order mapping key {key!r} is not a str",
+                                      field="order_mapping")
+            if type(column) is not int:
+                raise ValidationError(
+                    f"order mapping index {column!r} of {key!r} is not an int",
+                    field="order_mapping",
+                )
             name = normalize_name(key)
             if not name:
                 raise ValidationError(f"blank order mapping key {key!r}",
@@ -116,7 +134,10 @@ class OrderMapping:
                 f"0..{len(indices) - 1}",
                 field="order_mapping",
             )
-        object.__setattr__(self, "_index", index)
+        # Equal exactly when every key is in normal form, as normalizing
+        # twice changes nothing.
+        object.__setattr__(self, "_index",
+                           self.entries if index == self.entries else index)
 
     @property
     def n_vars(self) -> int:
@@ -139,7 +160,7 @@ class OrderMapping:
         return [by_index[i] for i in range(len(by_index))]
 
 
-@dataclass
+@dataclass(slots=True)
 class Problem:
     id: str
     text: str
@@ -148,6 +169,11 @@ class Problem:
     gold: Optional[list] = None  # list of ir.Declaration
 
     def __post_init__(self):
+        for name in ("id", "text"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                raise ValidationError(f"expected a str, got {type(value).__name__}",
+                                      field=name)
         self.spans = check_spans(self.text, self.spans)
         self._validate_gold()
 
@@ -161,14 +187,19 @@ class Problem:
 
     def with_checked_spans(self, spans: list) -> "Problem":
         """A copy of this problem with ``spans``, a list that
-        ``check_spans`` returned for this problem's text; nothing is
-        checked again."""
+        ``check_spans`` returned for this problem's text; it shares this
+        problem's other fields, and nothing is checked again."""
         problem = object.__new__(Problem)  # __post_init__ would check all
-        # Set in field order, as __init__ does, so that instances share
-        # one key table and stay as small as built ones.
         problem.id, problem.text, problem.spans = self.id, self.text, spans
         problem.order_mapping, problem.gold = self.order_mapping, self.gold
         return problem
+
+    # A slotted class needs these to pickle at protocols 0 and 1.
+    def __getstate__(self):
+        return self.id, self.text, self.spans, self.order_mapping, self.gold
+
+    def __setstate__(self, state):
+        self.id, self.text, self.spans, self.order_mapping, self.gold = state
 
     def _validate_gold(self):
         if self.gold is None:
@@ -236,11 +267,11 @@ class Problem:
 
 
 # --- The schema -------------------------------------------------------------
-# A schema is a JSON type (str, int), NUMBER, a list of one schema,
-# {str: schema}, a Record, or {type name: Record}: an object chosen by its
-# "type" field. Reading checks each value once and converts it in the same
-# pass. int rejects bool, str rejects a number literal, and other keys are
-# ignored. An error's field is the path to the bad value ("gold[1].terms",
+# A schema is a JSON type (str, int), NUMBER, SHARED_STR, a list of one
+# schema, {str: schema}, a Record, or {type name: Record}: an object chosen
+# by its "type" field. Reading checks each value once and converts it in the
+# same pass. int rejects bool, str rejects a number literal, and other keys
+# are ignored. An error's field is the path to the bad value ("gold[1].terms",
 # "spans[0].start"), but a bad item of a list or map is reported at the list
 # or map, and a number that does not read at its record, naming the field.
 #
@@ -250,6 +281,9 @@ class Problem:
 # that fails is read again one value at a time, to report the first fault.
 
 NUMBER = "number"  # an int, or a string or literal in the numbers grammar
+# A string that repeats across a file's problems, such as a label: a load
+# keeps one object per distinct value, in its JsonNumbers' ``strings``.
+SHARED_STR = "shared str"
 _NAMES = {type(None): "null", bool: "a boolean", int: "an integer",
           Literal: "a number", float: "a non-finite number", str: "a string",
           list: "a list", dict: "an object", NUMBER: "a number"}
@@ -260,6 +294,8 @@ def _json_type(schema):
     """The JSON type of a value of ``schema``, or NUMBER."""
     if schema is NUMBER or type(schema) is type:
         return schema
+    if schema is SHARED_STR:
+        return str
     return list if type(schema) is list else dict
 
 
@@ -368,11 +404,17 @@ def _read_numbers(numbers, values):
     return list(map(numbers.__getitem__, values))
 
 
+def _read_shared(numbers, values):
+    return list(map(numbers.strings.setdefault, values, values))
+
+
 def _reader(schema):
     """``read(numbers, values)`` for values of ``schema``'s JSON type, or
     None for a JSON type, whose values need no reading."""
     if schema is NUMBER:
         return _read_numbers
+    if schema is SHARED_STR:
+        return _read_shared
     if type(schema) is type:
         return None
     if type(schema) is Record:
@@ -465,10 +507,11 @@ def _problem(id, text, spans, entries, gold):
         raise ValidationError(str(err), field="gold") from err
 
 
-SPAN = Record(EntitySpan, {"start": int, "end": int, "label": str})
+SPAN = Record(EntitySpan, {"start": int, "end": int, "label": SHARED_STR})
 GOLD = {  # a gold record, by its "type"
-    "objvar": Record(_objvar, {"direction": str, "name": str, "vars": [str]}),
-    "linear": Record(_linear, {"direction": str, "operator": str,
+    "objvar": Record(_objvar, {"direction": SHARED_STR, "name": SHARED_STR,
+                               "vars": [SHARED_STR]}),
+    "linear": Record(_linear, {"direction": SHARED_STR, "operator": SHARED_STR,
                                "limit": NUMBER, "terms": {str: NUMBER}}),
 }
 RECORD = Record(_problem, {"id": str, "text": str, "spans": [SPAN],

@@ -23,7 +23,7 @@ OBJECTIVE = "objective"
 CONSTRAINT = "constraint"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Declaration:
     """One objective or constraint, with exact rational coefficients."""
 

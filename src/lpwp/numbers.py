@@ -68,7 +68,14 @@ class JsonNumbers(dict):
     ValueError, or TypeError if it is unhashable. A text that fails to read
     is not stored. Make one per file or call; the stored Fractions are
     immutable and safe to share.
+
+    ``strings`` is a memo that readers may fill with ``setdefault(s, s)``,
+    so that equal strings read through one instance are one object.
     """
+
+    def __init__(self):
+        super().__init__()
+        self.strings = {}
 
     def __missing__(self, value):
         if type(value) is int:

@@ -142,6 +142,29 @@ def test_non_string_id_rejected(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: Problem("p", "ab", [EntitySpan(True, 2, "VAR")], OrderMapping({})), "spans"),
+    (lambda: Problem("p", "ab", [EntitySpan(0, 1.0, "VAR")], OrderMapping({})), "spans"),
+    (lambda: Problem("p", "ab", [EntitySpan(0, 1, "VAR"), EntitySpan("1", 2, "VAR")],
+                     OrderMapping({})), "spans"),
+    (lambda: berry_problem().with_spans([EntitySpan(True, 2, "VAR")]), "spans"),
+    (lambda: OrderMapping({"x": False}), "order_mapping"),
+    (lambda: OrderMapping({"x": 0.0}), "order_mapping"),
+    (lambda: OrderMapping({"x": "0"}), "order_mapping"),
+    (lambda: OrderMapping({1: 0}), "order_mapping"),
+    (lambda: OrderMapping({b"x": 0}), "order_mapping"),
+    (lambda: Problem(7, "ab", [], OrderMapping({})), "id"),
+    (lambda: Problem(None, "ab", [], OrderMapping({})), "id"),
+    (lambda: Problem("p", b"ab", [], OrderMapping({})), "text"),
+], ids=["bool-start", "float-end", "str-start", "with-spans", "bool-index",
+        "float-index", "str-index", "int-key", "bytes-key", "int-id", "null-id",
+        "bytes-text"])
+def test_what_save_or_load_cannot_carry_is_rejected_at_build(build, field):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert err.value.field == field
+
+
 def test_spans_sorted_after_construction():
     spans = [EntitySpan(5, 7, "PARAM"), EntitySpan(0, 2, "LIMIT")]
     problem = Problem("p", "ab cd ef gh", spans, OrderMapping({}))
