@@ -38,6 +38,17 @@ def _toolkit_errors(fn):
 _ROW_BREAK_RE = re.compile(r"[\t\n\r]")
 
 
+def _read_lines(path):
+    """The lines of a UTF-8 text file, without their "\n" or "\r\n" ends.
+
+    A lone "\r" is text, not a line break, so that model output holding
+    one stays on its line.
+    """
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        return [line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+                for line in fh]
+
+
 def _write_output(text, output_path):
     if output_path is None:
         click.echo(text)
@@ -86,15 +97,17 @@ def augment_cmd(input_path, output_path):
               default="lenient", show_default=True)
 @_toolkit_errors
 def parse_ir_cmd(input_path, mode):
-    """Parse a file of IR strings (one per line) into declaration JSON."""
+    """Parse a file of IR strings (one per line) into declaration JSON.
+
+    Lines end at "\n" or "\r\n" only; a lone "\r" is part of its line.
+    """
     results = []
-    with open(input_path, encoding="utf-8") as fh:
-        for line in fh:
-            decls, diagnostics = ir.parse_declarations(line.rstrip("\n"), mode)
-            results.append({
-                "declarations": [ir.declaration_to_json_dict(d) for d in decls],
-                "diagnostics": diagnostics,
-            })
+    for line in _read_lines(input_path):
+        decls, diagnostics = ir.parse_declarations(line, mode)
+        results.append({
+            "declarations": [ir.declaration_to_json_dict(d) for d in decls],
+            "diagnostics": diagnostics,
+        })
     click.echo(_dump_json(results))
 
 
@@ -130,11 +143,11 @@ def score_cmd(gold_path, pred_path, tol):
 
     The predictions file holds one IR string per line, aligned by line
     number with the dataset; unparseable declarations are dropped with a
-    stderr diagnostic and count as absent.
+    stderr diagnostic and count as absent. Lines end at "\n" or "\r\n"
+    only; a lone "\r" is part of its line.
     """
     problems = ingest.load_dataset(gold_path)
-    with open(pred_path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = _read_lines(pred_path)
     if len(lines) != len(problems):
         raise ToolkitError(
             f"{len(lines)} prediction lines for {len(problems)} problems"

@@ -282,7 +282,8 @@ class Problem:
 
 NUMBER = "number"  # an int, or a string or literal in the numbers grammar
 # A string that repeats across a file's problems, such as a label: a load
-# keeps one object per distinct value, in its JsonNumbers' ``strings``.
+# keeps one object per distinct value in its JsonNumbers' ``shared`` memo,
+# as it does for the keys of every {str: schema} and for shared records.
 SHARED_STR = "shared str"
 _NAMES = {type(None): "null", bool: "a boolean", int: "an integer",
           Literal: "a number", float: "a non-finite number", str: "a string",
@@ -337,11 +338,14 @@ class Record:
 
     ``read(numbers, values)`` returns what ``build`` makes of each value. An
     optional field may be absent or null, and is passed as None. A
-    ValueError from ``build`` is reported at the record.
+    ValueError from ``build`` is reported at the record. A ``shared``
+    record builds an immutable value, kept in ``numbers.shared`` under the
+    tuple of its read fields, so equal records read through one
+    JsonNumbers are one object.
     """
 
-    def __init__(self, build, fields, optional=()):
-        self.build, self.optional = build, frozenset(optional)
+    def __init__(self, build, fields, optional=(), shared=False):
+        self.build, self.optional, self.shared = build, frozenset(optional), shared
         self.names, self.get = tuple(fields), itemgetter(*fields)
         self.kinds = tuple(map(_json_type, fields.values()))
         # The field types of a record that needs no closer look; a number
@@ -380,6 +384,10 @@ class Record:
                 results = [v if v is None else next(results) for v in columns[i]]
             columns[i] = results
         try:
+            if self.shared:
+                memo = numbers.shared
+                return [memo.get(key) or memo.setdefault(key, self.build(*key))
+                        for key in zip(*columns)]
             return list(map(self.build, *columns))
         except ValueError as bad:
             raise ValidationError(str(bad)) from None
@@ -405,7 +413,7 @@ def _read_numbers(numbers, values):
 
 
 def _read_shared(numbers, values):
-    return list(map(numbers.strings.setdefault, values, values))
+    return list(map(numbers.shared.setdefault, values, values))
 
 
 def _reader(schema):
@@ -431,8 +439,9 @@ def _reader(schema):
             items = _read_numbers(numbers, items)
         elif tuple(map(type, items)) != (item,) * len(items):
             raise _first_mismatch(items, item)
-        items = iter(items)
-        return [dict(zip(value, items)) for value in maps]
+        # Keys repeat across a file's problems, as SHARED_STR values do.
+        items, share = iter(items), numbers.shared.setdefault
+        return [dict(zip(map(share, value, value), items)) for value in maps]
     return _batched(read_maps)
 
 
@@ -507,7 +516,8 @@ def _problem(id, text, spans, entries, gold):
         raise ValidationError(str(err), field="gold") from err
 
 
-SPAN = Record(EntitySpan, {"start": int, "end": int, "label": SHARED_STR})
+SPAN = Record(EntitySpan, {"start": int, "end": int, "label": SHARED_STR},
+              shared=True)
 GOLD = {  # a gold record, by its "type"
     "objvar": Record(_objvar, {"direction": SHARED_STR, "name": SHARED_STR,
                                "vars": [SHARED_STR]}),
@@ -636,7 +646,8 @@ def load_dataset(path) -> list:
             problems.append(problem)
 
     batch, size = [], 0
-    with open(path, encoding="utf-8") as fh:
+    # A line ends at "\n" only: a lone "\r" is JSON whitespace.
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue

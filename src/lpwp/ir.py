@@ -149,9 +149,10 @@ def _read_limit(text):
 
 
 def _read_operator(text):
-    if text not in OPERATORS:
+    operator = _OPERATOR.get(text)
+    if operator is None:
         raise ValueError(f"unknown operator {text!r}")
-    return text
+    return operator
 
 
 _OBJECTIVE_HEAD = ["<DECLARATION>", "<OBJ_DIR>", "</OBJ_DIR>", "<OBJ_NAME>",
@@ -161,6 +162,9 @@ _CONSTRAINT_HEAD = ["<DECLARATION>", "<CONST_DIR>", "</CONST_DIR>", "<OPERATOR>"
 _TERM = ["<VAR>", "</VAR>", "[TIMES]", "<PARAM>", "</PARAM>"]
 _HEADS = {"<OBJ_DIR>": _OBJECTIVE_HEAD, "<CONST_DIR>": _CONSTRAINT_HEAD}
 _ONE = Fraction(1)
+# Each operator's text to its constant, which a parse holds in place of the
+# token's copy.
+_OPERATOR = dict(zip(OPERATORS, OPERATORS))
 # The text before each of these closing tags is a content. A failed read is
 # reported at the opening tag (offset -1), or after the content (offset 1).
 _CONTENTS = {"</OBJ_DIR>": None, "</OBJ_NAME>": None, "</CONST_DIR>": None,
@@ -200,10 +204,12 @@ def _run_fault(tokens, texts, starts, start, run):
             return None, (f"unexpected text {text.strip()!r}", starts[i] - len(text)), i
 
 
-def _read_declaration(tokens, texts, starts, p):
+def _read_declaration(tokens, texts, starts, p, shared):
     """Read the declaration at ``p``: ``(declaration, duplicates, index)``,
     or ``(None, (message, position), index)`` at its first fault, where
-    reading resumes or stops at ``index``.
+    reading resumes or stops at ``index``. Names and directions are read
+    through ``shared`` with ``setdefault(s, s)``, so equal ones are one
+    object.
 
     The token after ``<DECLARATION>`` picks the head. The head, each term
     and ``</DECLARATION>`` are then checked whole against their fixed token
@@ -230,6 +236,7 @@ def _read_declaration(tokens, texts, starts, p):
             kind, name, op, limit = OBJECTIVE, name.strip(), None, None
             if not name:
                 raise ValueError
+            name = shared.setdefault(name, name)
         else:
             (before, after_decl, direction, after_dir, op, after_op, limit,
              after_limit) = texts[p:q]
@@ -239,6 +246,7 @@ def _read_declaration(tokens, texts, starts, p):
         direction = direction.strip()
         if gaps.strip() or not direction:
             raise ValueError
+        direction = shared.setdefault(direction, direction)
     except ValueError:
         return _run_fault(tokens, texts, starts, p, head)
     terms = {}
@@ -250,6 +258,7 @@ def _read_declaration(tokens, texts, starts, p):
             if (before_var + before_times + before_param).strip() or not var:
                 break
             coeff = _read_coefficient(coeff.strip())
+            var = shared.setdefault(var, var)
             if var in terms:
                 duplicates.append((var, starts[q]))
                 terms[var] += coeff
@@ -290,6 +299,7 @@ def parse_declarations(ir: str, mode: str = "strict"):
         raise ValueError(f"unknown parse mode: {mode!r}")
     tokens, texts, starts = _tokenize(ir)
     decls, diagnostics = [], []
+    shared = {}  # one object per distinct name and direction of this parse
 
     def fail(message, position):
         error = IrParseError(message, position)
@@ -303,7 +313,7 @@ def parse_declarations(ir: str, mode: str = "strict"):
             fail(f"stray token {tokens[p]!r}", starts[p])
             p += 1
             continue
-        decl, found, p = _read_declaration(tokens, texts, starts, p)
+        decl, found, p = _read_declaration(tokens, texts, starts, p, shared)
         if decl is None:
             message, position = found
             if p >= len(tokens):

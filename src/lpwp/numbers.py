@@ -69,13 +69,15 @@ class JsonNumbers(dict):
     is not stored. Make one per file or call; the stored Fractions are
     immutable and safe to share.
 
-    ``strings`` is a memo that readers may fill with ``setdefault(s, s)``,
-    so that equal strings read through one instance are one object.
+    ``shared`` is a memo of immutable values that readers fill, so that
+    equal values read through one instance are one object: a string ``s``
+    with ``setdefault(s, s)``, and a value built from the fields of a record
+    under the tuple of those fields. It lives as long as the instance.
     """
 
     def __init__(self):
         super().__init__()
-        self.strings = {}
+        self.shared = {}
 
     def __missing__(self, value):
         if type(value) is int:

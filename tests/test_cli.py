@@ -150,6 +150,28 @@ def test_score_splits_lines_only_at_newlines(runner, berry_dataset, tmp_path):
     assert diagnostic.startswith("berry: ") and "stray text" in diagnostic
 
 
+def test_a_lone_carriage_return_does_not_split_a_prediction(runner, berry_dataset,
+                                                             tmp_path):
+    objective, *constraints = berry_problem().gold
+    line = ir.serialize_declarations([objective]).replace(
+        objective.name + " ", objective.name + "\r")
+    line += ir.serialize_declarations(constraints)
+    preds = tmp_path / "preds.txt"
+    preds.write_bytes((line + "\n").encode("utf-8"))
+    result = runner.invoke(main, ["parse-ir", "--in", str(preds)])
+    assert result.exit_code == 0, result.output
+    (entry,) = json.loads(result.stdout)
+    assert entry == {"declarations": [ir.declaration_to_json_dict(d)
+                                      for d in berry_problem().gold],
+                     "diagnostics": []}
+    result = runner.invoke(main, ["score", "--gold", str(berry_dataset),
+                                  "--pred", str(preds)])
+    assert result.exit_code == 0, result.output
+    (example,) = json.loads(result.stdout)["per_example"]
+    assert (example["D"], example["FP"], example["FN"]) == (3, 0, 0)
+    assert result.stderr == ""
+
+
 @pytest.fixture
 def dataset_without_gold(tmp_path):
     path = tmp_path / "ng.jsonl"
@@ -519,3 +541,25 @@ def test_parse_ir_output_and_diagnostics_are_pinned(runner, faulty_predictions):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == f"error: {FAULTY_PREDICTION_DIAGNOSTICS[0][1]}\n"
+
+
+
+def test_crlf_files_read_as_lf_files(runner, tmp_path, faulty_predictions):
+    # The second prediction line ends inside a declaration, so its
+    # diagnostic's position would move if the "\r" stayed on the line.
+    gold = tmp_path / "gold.jsonl"
+    problem = berry_problem()
+    ingest.save_dataset([problem, dataclasses.replace(problem, id="berry 2")], gold)
+    lf = {"gold": gold, "pred": faulty_predictions}
+    crlf = {name: tmp_path / f"crlf-{path.name}" for name, path in lf.items()}
+    for name, path in lf.items():
+        crlf[name].write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+    def run(paths):
+        gold, pred = str(paths["gold"]), str(paths["pred"])
+        return [(r.exit_code, r.stdout, r.stderr) for r in (
+            runner.invoke(main, ["parse-ir", "--in", pred]),
+            runner.invoke(main, ["parse-ir", "--mode", "strict", "--in", pred]),
+            runner.invoke(main, ["score", "--gold", gold, "--pred", pred]),
+        )]
+    assert run(crlf) == run(lf)

@@ -84,6 +84,18 @@ def test_malformed_json_reports_line_number(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_lines_end_at_newlines_only(tmp_path):
+    # A lone "\r" is JSON whitespace; "\r\n" ends a line as "\n" does.
+    path = tmp_path / "d.jsonl"
+    record = json.dumps(berry_record(), separators=(",\r", ":\r"))
+    path.write_bytes(f"{record}\r\nnot json\r\n".encode("utf-8"))
+    with pytest.raises(ValidationError) as err:
+        ingest.load_dataset(path)
+    assert err.value.line == 2
+    path.write_bytes(f"{record}\r\n".encode("utf-8"))
+    assert ingest.load_dataset(path) == [berry_problem()]
+
+
 def test_overlapping_spans_rejected(tmp_path):
     record = {
         "id": "p",

@@ -131,6 +131,23 @@ def test_duplicate_var_coefficients_summed_with_diagnostic():
     assert any("duplicate" in d for d in diagnostics)
 
 
+def test_equal_names_and_directions_of_one_parse_are_one_object():
+    at_least = ir.constraint("at least", ir.GREATER_OR_EQUAL, 3,
+                             {"farm 2": 70, "farm 1": 50})
+    at_most = ir.constraint("at least", ir.LESS_OR_EQUAL, 9, {"farm 1": 1})
+    objective = ir.objective("at least", "farm 1", {"farm 1": 1, "farm 2": 1})
+    expected = [fig3_objective(), at_least, objective, at_most, at_least]
+    decls, diagnostics = parse_declarations(serialize_declarations(expected), "strict")
+    assert decls == expected and diagnostics == []
+    names = {}
+    for decl in decls:
+        for name in [decl.direction_text, *decl.terms, decl.name]:
+            if name is not None:
+                assert names.setdefault(name, name) is name
+    assert decls[1].operator is decls[4].operator is ir.GREATER_OR_EQUAL
+    assert decls[3].operator is ir.LESS_OR_EQUAL
+
+
 def test_strict_rejects_stray_text():
     with pytest.raises(IrParseError):
         parse_declarations("hello " + FIG3_OBJECTIVE_IR, "strict")

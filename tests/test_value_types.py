@@ -66,24 +66,43 @@ def test_equality_and_hash():
             hash(value)
 
 
-def test_equal_strings_of_a_load_are_one_object(tmp_path):
+def _load_twice(path):
+    """Two problems, ``a`` and ``b``, loaded from one file of two equal lines."""
     record = ingest.problem_to_record(berry_problem())
-    path = tmp_path / "d.jsonl"
     path.write_text("".join(json.dumps(dict(record, id=pid)) + "\n"
                             for pid in ("a", "b")), encoding="utf-8")
-    first, second = ingest.load_dataset(path)
+    return ingest.load_dataset(path)
+
+
+def test_equal_strings_of_a_load_are_one_object(tmp_path):
+    first, second = _load_twice(tmp_path / "d.jsonl")
     assert first.spans == second.spans and first.gold == second.gold
     for a, b in zip(first.spans, second.spans):
-        assert a.label is b.label
+        assert a is b
     labels = {}
     for span in first.spans + second.spans:
         assert labels.setdefault(span.label, span.label) is span.label
+    assert first.order_mapping.entries == second.order_mapping.entries
+    assert first.order_mapping.entries is not second.order_mapping.entries
+    for x, y in zip(first.order_mapping.entries, second.order_mapping.entries):
+        assert x is y
+    keys = {}
     for a, b in zip(first.gold, second.gold):
+        assert a is not b and a.terms is not b.terms
         assert a.direction_text is b.direction_text
         assert a.operator is b.operator
         assert a.name is b.name
-        if a.kind == ir.OBJECTIVE:
-            assert all(x is y for x, y in zip(a.terms, b.terms))
+        assert all(x is y for x, y in zip(a.terms, b.terms))
+        for key in [*a.terms, *first.order_mapping.entries]:
+            assert keys.setdefault(key, key) is key
+    assert first.order_mapping._index is first.order_mapping.entries
+
+
+def test_separate_loads_share_no_span(tmp_path):
+    first, _ = _load_twice(tmp_path / "d.jsonl")
+    again, _ = _load_twice(tmp_path / "e.jsonl")
+    assert first.spans == again.spans
+    assert not {id(span) for span in first.spans} & {id(span) for span in again.spans}
 
 
 def test_mapping_in_normal_form_is_its_own_index():
