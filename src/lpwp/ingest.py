@@ -10,13 +10,13 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Optional
 
 from . import ir
-from .errors import (MappingError, StructureError, UnsupportedDeclarationError,
-                     ValidationError)
+from .errors import (MappingError, StructureError, ToolkitError,
+                     UnsupportedDeclarationError, ValidationError)
 from .numbers import JsonNumbers, Literal, decode_json, format_number
 
 LABELS = ("CONST_DIR", "LIMIT", "OBJ_DIR", "OBJ_NAME", "PARAM", "VAR")
@@ -219,6 +219,9 @@ class Problem:
             if not terms.keys() <= entries.keys():
                 terms = {}
                 for var, coeff in decl.terms.items():
+                    if type(var) is not str:
+                        raise ValidationError(f"variable {var!r} is not a str",
+                                              field=f"gold[{i}]")
                     column = self.order_mapping.resolve(var)
                     if _TOKEN_RE.search(var):
                         raise _not_ir_content("variable", var, i)
@@ -275,10 +278,10 @@ class Problem:
 # "spans[0].start"), but a bad item of a list or map is reported at the list
 # or map, and a number that does not read at its record, naming the field.
 #
-# A reader takes the number cache and a list of values, and returns the list
-# of results: the values of one field across many records are checked and
-# converted together, so the cost per value is a few C-level steps. A batch
-# that fails is read again one value at a time, to report the first fault.
+# ``read`` walks a value and its schema one value at a time. A load reads a
+# record through ``_read_record``, RECORD's reader written out by hand for a
+# well-formed record, and walks the schema only for a record that it does
+# not accept, to name the fault.
 
 NUMBER = "number"  # an int, or a string or literal in the numbers grammar
 # A string that repeats across a file's problems, such as a label: a load
@@ -288,7 +291,6 @@ SHARED_STR = "shared str"
 _NAMES = {type(None): "null", bool: "a boolean", int: "an integer",
           Literal: "a number", float: "a non-finite number", str: "a string",
           list: "a list", dict: "an object", NUMBER: "a number"}
-_FAULTS = (ValidationError, ValueError, TypeError)
 
 
 def _json_type(schema):
@@ -305,39 +307,16 @@ def _mismatch(value, json_type):
     return ValidationError(f"expected {_NAMES[json_type]}, got {got}")
 
 
-def _first_mismatch(values, json_type):
-    return _mismatch(next(v for v in values if type(v) is not json_type), json_type)
-
-
 def _within(err, step):
     """Prefix ``err``'s field path with ``step``."""
     tail = err.field or ""
     err.field = step + ("." if tail[:1] not in ("", "[") else "") + tail
 
 
-def _batched(read_all):
-    """``read_all(numbers, values)``, with the position of the first value
-    that fails in the fault's ``index``."""
-    def read(numbers, values):
-        try:
-            return read_all(numbers, values)
-        except _FAULTS as err:
-            for i, value in enumerate(values if len(values) > 1 else ()):
-                try:
-                    read_all(numbers, [value])
-                except _FAULTS as first:
-                    first.index = i
-                    raise first from None
-            err.index = 0
-            raise
-    return read
-
-
 class Record:
-    """An object of two or more fields, read and passed to ``build`` in order.
+    """An object of fields, read in order and passed to ``build``.
 
-    ``read(numbers, values)`` returns what ``build`` makes of each value. An
-    optional field may be absent or null, and is passed as None. A
+    An optional field may be absent or null, and is passed as None. A
     ValueError from ``build`` is reported at the record. A ``shared``
     record builds an immutable value, kept in ``numbers.shared`` under the
     tuple of its read fields, so equal records read through one
@@ -345,141 +324,83 @@ class Record:
     """
 
     def __init__(self, build, fields, optional=(), shared=False):
-        self.build, self.optional, self.shared = build, frozenset(optional), shared
-        self.names, self.get = tuple(fields), itemgetter(*fields)
-        self.kinds = tuple(map(_json_type, fields.values()))
-        # The field types of a record that needs no closer look; a number
-        # is most often a string.
-        self.types = tuple(str if k is NUMBER else k for k in self.kinds)
-        self.reads = [(i, name, _reader(sub)) for i, (name, sub)
-                      in enumerate(fields.items()) if _reader(sub)]
-        self.read = _batched(self._read_all)
-
-    def _read_all(self, numbers, values):
-        try:
-            rows = list(map(self.get, values))
-        except KeyError:
-            rows = [tuple(map(value.get, self.names)) for value in values]
-        if tuple(map(type, chain.from_iterable(rows))) != self.types * len(rows):
-            for value, row in zip(values, rows):
-                self._check(value, row)
-        columns = list(zip(*rows)) or [()] * len(self.names)
-        for i, name, read in self.reads:
-            column = columns[i]
-            if name in self.optional:  # read the values that are not null
-                column = [v for v in column if v is not None]
-            try:
-                results = read(numbers, column)
-            except ValidationError as err:
-                _within(err, name)
-                raise
-            except ValueError as bad:  # a number that does not read
-                raise ValidationError(f"{name}: {bad}") from None
-            except TypeError:  # an unhashable value where a number belongs
-                raise ValidationError(
-                    f"{name}: expected a number, got a list or an object"
-                ) from None
-            if name in self.optional:
-                results = iter(results)
-                results = [v if v is None else next(results) for v in columns[i]]
-            columns[i] = results
-        try:
-            if self.shared:
-                memo = numbers.shared
-                return [memo.get(key) or memo.setdefault(key, self.build(*key))
-                        for key in zip(*columns)]
-            return list(map(self.build, *columns))
-        except ValueError as bad:
-            raise ValidationError(str(bad)) from None
-
-    def _check(self, value, values):
-        """Raise for the first field that is missing or of the wrong type;
-        the number reader judges a number that is not null."""
-        for name, kind, v in zip(self.names, self.kinds, values):
-            if type(v) is kind or kind is NUMBER and v is not None:
-                continue
-            if name not in value:
-                if name in self.optional:
-                    continue
-                raise ValidationError("missing required field", field=name)
-            if v is not None or name not in self.optional:
-                err = _mismatch(v, kind)
-                err.field = name
-                raise err
+        self.build, self.fields = build, fields
+        self.optional, self.shared = optional, shared
 
 
-def _read_numbers(numbers, values):
-    return list(map(numbers.__getitem__, values))
+def _check_items(values, item):
+    """Raise for the first of ``values`` that is not of ``item``'s JSON
+    type; the number reader judges a number."""
+    kind = _json_type(item)
+    for value in values:
+        if type(value) is not kind and kind is not NUMBER:
+            raise _mismatch(value, kind)
 
 
-def _read_shared(numbers, values):
-    return list(map(numbers.shared.setdefault, values, values))
-
-
-def _reader(schema):
-    """``read(numbers, values)`` for values of ``schema``'s JSON type, or
-    None for a JSON type, whose values need no reading."""
+def _read(value, schema, numbers):
+    """``value``, of ``schema``'s JSON type, checked and converted. A number
+    that does not read raises ValueError, or TypeError if it is a list or
+    an object; the record that holds it reports it."""
     if schema is NUMBER:
-        return _read_numbers
+        return numbers[value]
     if schema is SHARED_STR:
-        return _read_shared
+        return numbers.shared.setdefault(value, value)
     if type(schema) is type:
-        return None
-    if type(schema) is Record:
-        return schema.read
+        return value
     if type(schema) is list:
-        return _list_reader(schema[0])
-    if str not in schema:
-        return _choice_reader(schema)
-    item = schema[str]
-
-    def read_maps(numbers, maps):
-        items = list(chain.from_iterable(map(dict.values, maps)))
-        if item is NUMBER:
-            items = _read_numbers(numbers, items)
-        elif tuple(map(type, items)) != (item,) * len(items):
-            raise _first_mismatch(items, item)
-        # Keys repeat across a file's problems, as SHARED_STR values do.
-        items, share = iter(items), numbers.shared.setdefault
-        return [dict(zip(map(share, value, value), items)) for value in maps]
-    return _batched(read_maps)
-
-
-def _list_reader(item):
-    item_type, read_item = _json_type(item), _reader(item)
-
-    def read_lists(numbers, lists):
-        items = list(chain.from_iterable(lists))
-        if item is not NUMBER and tuple(map(type, items)) != (item_type,) * len(items):
-            raise _first_mismatch(items, item_type)
-        if read_item:
+        _check_items(value, schema[0])
+        items = []
+        for i, item in enumerate(value):
             try:
-                items = read_item(numbers, items)
+                items.append(_read(item, schema[0], numbers))
             except ValidationError as err:
-                _within(err, f"[{err.index}]")
+                _within(err, f"[{i}]")
                 raise
-        items = iter(items)
-        return [list(islice(items, len(value))) for value in lists]
-    return _batched(read_lists)
-
-
-def _choice_reader(records):
-    def read_choices(numbers, values):
-        tags = [value.get("type") for value in values]
-        out = [None] * len(values)
-        for tag, record in records.items():
-            where = [i for i, t in enumerate(tags) if t == tag]
-            for i, result in zip(where, record.read(numbers, [values[i] for i in where])):
-                out[i] = result
-        for value, tag in zip(values, tags):
-            if not (type(tag) is str and tag in records):
-                if "type" not in value:
-                    raise ValidationError("record has no 'type'")
-                raise UnsupportedDeclarationError(
-                    f"unsupported declaration type: {tag!r}"
-                )
-        return out
-    return _batched(read_choices)
+        return items
+    if type(schema) is dict:
+        if str in schema:
+            _check_items(value.values(), schema[str])
+            share = numbers.shared.setdefault
+            return {share(k, k): _read(v, schema[str], numbers) for k, v in value.items()}
+        tag = value.get("type")
+        if type(tag) is str and tag in schema:
+            return _read(value, schema[tag], numbers)
+        if "type" not in value:
+            raise ValidationError("record has no 'type'")
+        raise UnsupportedDeclarationError(f"unsupported declaration type: {tag!r}")
+    # A Record: every field's JSON type is checked before any field is read.
+    for name, kind in zip(schema.fields, map(_json_type, schema.fields.values())):
+        v = value.get(name)
+        if type(v) is kind or kind is NUMBER and v is not None:
+            continue
+        if name not in value:
+            if name not in schema.optional:
+                raise ValidationError("missing required field", field=name)
+        elif v is not None or name not in schema.optional:
+            err = _mismatch(v, kind)
+            err.field = name
+            raise err
+    fields = []
+    for name, sub in schema.fields.items():
+        v = value.get(name)
+        try:
+            fields.append(None if v is None else _read(v, sub, numbers))
+        except ValidationError as err:
+            _within(err, name)
+            raise
+        except ValueError as bad:  # a number that does not read
+            raise ValidationError(f"{name}: {bad}") from None
+        except TypeError:  # an unhashable value where a number belongs
+            raise ValidationError(
+                f"{name}: expected a number, got a list or an object"
+            ) from None
+    try:
+        if schema.shared:
+            key, memo = tuple(fields), numbers.shared
+            return memo.get(key) or memo.setdefault(key, schema.build(*key))
+        return schema.build(*fields)
+    except ValueError as bad:
+        raise ValidationError(str(bad)) from None
 
 
 def read(value, schema, numbers: JsonNumbers, field=None):
@@ -488,7 +409,7 @@ def read(value, schema, numbers: JsonNumbers, field=None):
     try:
         if type(value) is not _json_type(schema):
             raise _mismatch(value, _json_type(schema))
-        return _reader(schema)(numbers, [value])[0]
+        return _read(value, schema, numbers)
     except ValidationError as err:
         if field:
             _within(err, field)
@@ -505,8 +426,7 @@ def _objvar(direction, name, variables):
 
 def _linear(direction, operator, limit, terms):
     # The reader built ``terms`` and ``limit``; ir.constraint would copy them.
-    return ir.Declaration(ir.CONSTRAINT, direction, terms, operator=operator,
-                          limit=limit)
+    return ir.Declaration(ir.CONSTRAINT, direction, terms, None, operator, limit)
 
 
 def _problem(id, text, spans, entries, gold):
@@ -527,6 +447,78 @@ GOLD = {  # a gold record, by its "type"
 RECORD = Record(_problem, {"id": str, "text": str, "spans": [SPAN],
                            "order_mapping": {str: int}, "gold": [GOLD]},
                 optional=["gold"])
+
+# The fields that _read_record reads, by hand, from RECORD, SPAN and GOLD.
+_RECORD_FIELDS = itemgetter("id", "text", "spans", "order_mapping")
+_SPAN_FIELDS = itemgetter("start", "end", "label")
+_OBJVAR_FIELDS = itemgetter("direction", "name", "vars")
+_LINEAR_FIELDS = itemgetter("direction", "operator", "limit", "terms")
+# What a record that _read_record does not accept raises in it: a missing
+# field or a value of the wrong type, a number that does not read, or a
+# fault that a constructor names.
+_NOT_READ = (LookupError, TypeError, ValueError, ToolkitError)
+
+
+def _new_span(shared, start, end, label):
+    label = shared.setdefault(label, label)
+    return shared.setdefault((start, end, label), EntitySpan(start, end, label))
+
+
+def _read_record(record, numbers):
+    """The problem that ``read(record, RECORD, numbers)`` builds, or None
+    for a record that this does not accept.
+
+    It accepts only values of their exact JSON type, and reads numbers,
+    strings and spans through the same memos and builds through the same
+    constructors as ``read``, so it builds the same objects; it accepts no
+    record that ``read`` rejects. It reads the values of a record with a few
+    C-level steps each, where ``read`` walks the schema one value at a time.
+    """
+    try:
+        id, text, spans, entries = _RECORD_FIELDS(record)
+        rows = list(map(_SPAN_FIELDS, spans))
+        if (type(record) is not dict or type(id) is not str or type(text) is not str
+                or type(spans) is not list or type(entries) is not dict
+                or tuple(map(type, spans)) != (dict,) * len(rows)
+                or [type(v) for row in rows for v in row] != [int, int, str] * len(rows)
+                or tuple(map(type, entries.values())) != (int,) * len(entries)):
+            return None
+        shared = numbers.shared
+        share, number = shared.setdefault, numbers.__getitem__
+        spans = [shared.get(row) or _new_span(shared, *row) for row in rows]
+        entries = dict(zip(map(share, entries, entries), entries.values()))
+        gold = record.get("gold")
+        if gold is not None:
+            if type(gold) is not list:
+                return None
+            decls = []
+            for g in gold:
+                kind = g["type"]
+                if type(g) is not dict or type(kind) is not str:
+                    return None
+                if kind == "linear":
+                    direction, operator, limit, terms = _LINEAR_FIELDS(g)
+                    if (type(direction) is not str or type(operator) is not str
+                            or type(terms) is not dict):
+                        return None
+                    decls.append(_linear(
+                        share(direction, direction), share(operator, operator),
+                        number(limit),
+                        dict(zip(map(share, terms, terms), map(number, terms.values())))))
+                elif kind == "objvar":
+                    direction, name, variables = _OBJVAR_FIELDS(g)
+                    if (type(direction) is not str or type(name) is not str
+                            or type(variables) is not list
+                            or tuple(map(type, variables)) != (str,) * len(variables)):
+                        return None
+                    decls.append(_objvar(share(direction, direction), share(name, name),
+                                         map(share, variables, variables)))
+                else:
+                    return None
+            gold = decls
+        return _problem(id, text, spans, entries, gold)
+    except _NOT_READ:
+        return None
 
 
 def gold_to_declarations(records) -> list:
@@ -569,7 +561,7 @@ def declarations_to_gold(decls) -> list:
 def problem_from_record(record, numbers: JsonNumbers, line=None) -> Problem:
     """Build a problem from one decoded JSON record, reading gold through ``numbers``."""
     try:
-        return read(record, RECORD, numbers)
+        return _read_record(record, numbers) or read(record, RECORD, numbers)
     except ValidationError as err:
         err.line = line
         raise
@@ -618,34 +610,15 @@ def _lone_surrogate_at(value, path):
     return None
 
 
-# load_dataset reads lines together until they hold this many characters:
-# fewer lines of large problems keep the batch's memory small.
-_BATCH_CHARS = 1 << 16
-
-
 def load_dataset(path) -> list:
-    """Load and validate a JSONL dataset; any invariant violation is fatal."""
+    """Load and validate a JSONL dataset; any invariant violation is fatal.
+
+    Lines are read in order, so the first line at fault is the one reported.
+    """
     problems = []
     seen_ids = set()
     # Number texts repeat across a file's problems; each is read once.
     numbers = JsonNumbers()
-
-    def add(batch):
-        try:
-            built = read([record for _, record in batch], [RECORD], numbers)
-        except ValidationError:  # read line by line, to report the first fault
-            built = [None] * len(batch)
-        for (line_no, record), problem in zip(batch, built):
-            if problem is None:
-                problem = problem_from_record(record, numbers, line=line_no)
-            if problem.id in seen_ids:
-                raise ValidationError(
-                    f"duplicate problem id {problem.id!r}", line=line_no
-                )
-            seen_ids.add(problem.id)
-            problems.append(problem)
-
-    batch, size = [], 0
     # A line ends at "\n" only: a lone "\r" is JSON whitespace.
     with open(path, encoding="utf-8", newline="\n") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -654,22 +627,21 @@ def load_dataset(path) -> list:
             try:
                 record = decode_json(line)
             except ValueError as err:
-                add(batch)  # a fault on an earlier line comes first
                 raise ValidationError(f"malformed JSON: {err}", line=line_no)
             if "\\" in line and _SURROGATE_ESCAPE.search(line):
                 where = _lone_surrogate_at(record, "")
                 if where is not None:
-                    add(batch)
                     raise ValidationError(
                         "string holds an unpaired surrogate escape, which "
                         "UTF-8 cannot encode", line=line_no, field=where or None,
                     )
-            batch.append((line_no, record))
-            size += len(line)
-            if size >= _BATCH_CHARS:
-                add(batch)
-                batch, size = [], 0
-    add(batch)
+            problem = problem_from_record(record, numbers, line=line_no)
+            if problem.id in seen_ids:
+                raise ValidationError(
+                    f"duplicate problem id {problem.id!r}", line=line_no
+                )
+            seen_ids.add(problem.id)
+            problems.append(problem)
     return problems
 
 

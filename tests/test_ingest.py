@@ -497,7 +497,7 @@ def lines_with_faults(n, faults):
 
 
 @pytest.mark.parametrize("faults, line, field", [
-    # Lines are read many at a time; the first fault in the file is reported.
+    # Lines are read in order; the first fault in the file is reported.
     ({100: json.dumps(berry_record(id="a", spans=[{"start": "0", "end": 1,
                                                      "label": "VAR"}])),
       140: json.dumps(berry_record(id="b", order_mapping=[]))},
@@ -684,6 +684,19 @@ def test_load_rejects_gold_without_canonical_form(tmp_path, gold, field):
     with pytest.raises(ValidationError) as err:
         load_line(tmp_path, json.dumps(berry_record(gold=gold)))
     assert (err.value.line, err.value.field) == (1, field)
+
+
+def test_gold_variable_that_is_not_a_str_is_rejected():
+    # JSON keys are strs: only a record or problem built in Python has one.
+    record = berry_record(gold=[OBJ, dict(LIN, terms={1: "2", "farm 1": "3"})])
+    with pytest.raises(ValidationError) as err:
+        ingest.problem_from_record(record, JsonNumbers(), line=1)
+    assert (err.value.line, err.value.field) == (1, "gold[1]")
+    assert err.value.message == "variable 1 is not a str"
+    with pytest.raises(ValidationError) as err:
+        Problem("p", "x", [], OrderMapping({"x": 0}),
+                gold=[ir.objective("min", "n", {"x": 1, 2: 1})])
+    assert err.value.field == "gold[0]"
 
 
 def test_objective_direction_words_load_in_any_spelling(tmp_path):
