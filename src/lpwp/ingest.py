@@ -17,7 +17,8 @@ from typing import Optional
 from . import ir
 from .errors import (MappingError, StructureError, ToolkitError,
                      UnsupportedDeclarationError, ValidationError)
-from .numbers import JsonNumbers, Literal, decode_json, format_number
+from .numbers import (_SHORT, JsonNumbers, Literal, decode_json, format_number,
+                      parse_number)
 
 LABELS = ("CONST_DIR", "LIMIT", "OBJ_DIR", "OBJ_NAME", "PARAM", "VAR")
 
@@ -83,13 +84,21 @@ def check_spans(text: str, spans) -> list:
     return spans
 
 
-# An IR token inside a name, direction or variable would end its content
-# early, so the IR could not write it back.
+# What a key, name, direction or variable cannot hold: an IR token would end
+# its content early, so the IR could not write it back, and UTF-8, so no
+# saved line, cannot encode a lone surrogate. Only a str that is not all
+# ASCII can hold a surrogate; isascii tells that faster than a search, and
+# a pattern that looked for both at once would lose sre's scan for the
+# first character of a token.
 _TOKEN_RE = ir._TOKEN_RE
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _not_ir_content(what, text, i):
-    return ValidationError(f"{what} {text!r} holds an IR token", field=f"gold[{i}]")
+def _unwritable(what, text, field):
+    """The error for ``text``, which holds an IR token or a surrogate."""
+    holds = ("an IR token" if _TOKEN_RE.search(text)
+             else "an unpaired surrogate, which UTF-8 cannot encode")
+    return ValidationError(f"{what} {text!r} holds {holds}", field=field)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,9 +125,8 @@ class OrderMapping:
             if not name:
                 raise ValidationError(f"blank order mapping key {key!r}",
                                       field="order_mapping")
-            if _TOKEN_RE.search(key):
-                raise ValidationError(f"order mapping key {key!r} holds an IR token",
-                                      field="order_mapping")
+            if _TOKEN_RE.search(key) or not key.isascii() and _SURROGATE.search(key):
+                raise _unwritable("order mapping key", key, "order_mapping")
             if name in index:
                 first = next(k for k in self.entries if normalize_name(k) == name)
                 raise ValidationError(
@@ -160,7 +168,7 @@ class OrderMapping:
         return [by_index[i] for i in range(len(by_index))]
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Problem:
     id: str
     text: str
@@ -174,7 +182,10 @@ class Problem:
             if type(value) is not str:
                 raise ValidationError(f"expected a str, got {type(value).__name__}",
                                       field=name)
-        self.spans = check_spans(self.text, self.spans)
+            if not value.isascii() and _SURROGATE.search(value):
+                raise ValidationError("string holds an unpaired surrogate, which "
+                                      "UTF-8 cannot encode", field=name)
+        object.__setattr__(self, "spans", check_spans(self.text, self.spans))
         self._validate_gold()
 
     def with_spans(self, spans) -> "Problem":
@@ -190,16 +201,13 @@ class Problem:
         ``check_spans`` returned for this problem's text; it shares this
         problem's other fields, and nothing is checked again."""
         problem = object.__new__(Problem)  # __post_init__ would check all
-        problem.id, problem.text, problem.spans = self.id, self.text, spans
-        problem.order_mapping, problem.gold = self.order_mapping, self.gold
+        set_slot = object.__setattr__
+        set_slot(problem, "id", self.id)
+        set_slot(problem, "text", self.text)
+        set_slot(problem, "spans", spans)
+        set_slot(problem, "order_mapping", self.order_mapping)
+        set_slot(problem, "gold", self.gold)
         return problem
-
-    # A slotted class needs these to pickle at protocols 0 and 1.
-    def __getstate__(self):
-        return self.id, self.text, self.spans, self.order_mapping, self.gold
-
-    def __setstate__(self, state):
-        self.id, self.text, self.spans, self.order_mapping, self.gold = state
 
     def _validate_gold(self):
         if self.gold is None:
@@ -207,10 +215,12 @@ class Problem:
         entries = self.order_mapping.entries
         # Gold must have a canonical form: one objective with a min/max
         # direction, and no constraint row without a nonzero entry. It must
-        # also have an IR form that parses back: no blank name or direction,
-        # no IR token in a name, direction or variable, unit objective
-        # coefficients, and constraint numbers with a terminating decimal.
-        # An objective direction is a min/max word, so it holds no token.
+        # also have an IR and a saved form that read back: no blank name or
+        # direction, no IR token or lone surrogate in a name, direction or
+        # variable, unit objective coefficients, and constraint numbers
+        # whose plain decimal terminates and reads back within the digit
+        # limit. An objective direction is a min/max word, so it holds
+        # neither.
         objectives = 0
         for i, decl in enumerate(self.gold):
             terms = decl.terms
@@ -222,9 +232,10 @@ class Problem:
                     if type(var) is not str:
                         raise ValidationError(f"variable {var!r} is not a str",
                                               field=f"gold[{i}]")
+                    if (_TOKEN_RE.search(var)
+                            or not var.isascii() and _SURROGATE.search(var)):
+                        raise _unwritable("variable", var, f"gold[{i}]")
                     column = self.order_mapping.resolve(var)
-                    if _TOKEN_RE.search(var):
-                        raise _not_ir_content("variable", var, i)
                     terms[column] = terms.get(column, 0) + coeff
             if decl.kind == ir.OBJECTIVE:
                 objectives += 1
@@ -232,10 +243,12 @@ class Problem:
                     objective_sign(decl.direction_text)
                 except StructureError as err:
                     raise ValidationError(str(err), field=f"gold[{i}]") from None
-                if not decl.name.strip():
+                name = decl.name
+                if not name.strip():
                     raise ValidationError("blank objective name", field=f"gold[{i}]")
-                if _TOKEN_RE.search(decl.name):
-                    raise _not_ir_content("objective name", decl.name, i)
+                if (_TOKEN_RE.search(name)
+                        or not name.isascii() and _SURROGATE.search(name)):
+                    raise _unwritable("objective name", name, f"gold[{i}]")
                 # Loaded objectives hold the one _ONE, which count finds by
                 # identity, without comparing Fractions.
                 if [*decl.terms.values()].count(_ONE) != len(decl.terms):
@@ -243,10 +256,11 @@ class Problem:
                         "objvar records cannot carry non-unit coefficients",
                         field=f"gold[{i}]",
                     )
-            elif not decl.direction_text.strip():
+            elif not (direction := decl.direction_text).strip():
                 raise ValidationError("blank constraint direction", field=f"gold[{i}]")
-            elif _TOKEN_RE.search(decl.direction_text):
-                raise _not_ir_content("constraint direction", decl.direction_text, i)
+            elif (_TOKEN_RE.search(direction)
+                    or not direction.isascii() and _SURROGATE.search(direction)):
+                raise _unwritable("constraint direction", direction, f"gold[{i}]")
             elif not any(terms.values()):
                 raise ValidationError(
                     "constraint row has no nonzero entry", field=f"gold[{i}]"
@@ -257,11 +271,14 @@ class Problem:
                 # raised the peak memory of a solve pass.
                 for value in chain((decl.limit,), decl.terms.values()):
                     # A decimal terminates when its denominator divides a
-                    # power of ten; 10**d.bit_length() is high enough.
-                    d = value.denominator
-                    if d != 1 and pow(10, d.bit_length(), d):
-                        try:
-                            format_number(value)  # raises, with save's message
+                    # power of ten; 10**d.bit_length() is high enough. A
+                    # number of fewer than _SHORT bits in all writes at most
+                    # _SHORT digits, within any digit limit.
+                    n, d = value.as_integer_ratio()
+                    if (d != 1 and pow(10, d.bit_length(), d)
+                            or n.bit_length() + d.bit_length() >= _SHORT):
+                        try:  # raises with save's or load's message
+                            parse_number(format_number(value))
                         except ValueError as err:
                             raise ValidationError(str(err),
                                                   field=f"gold[{i}]") from None
@@ -527,15 +544,11 @@ def gold_to_declarations(records) -> list:
 
 
 def declarations_to_gold(decls) -> list:
-    """Inverse of :func:`gold_to_declarations`, used when saving."""
+    """Inverse of :func:`gold_to_declarations`, used when saving. ``decls``
+    is a problem's gold, which its build checked can be written."""
     records = []
-    for i, decl in enumerate(decls):
+    for decl in decls:
         if decl.kind == ir.OBJECTIVE:
-            if any(c != 1 for c in decl.terms.values()):
-                raise ValidationError(
-                    "objvar records cannot carry non-unit coefficients",
-                    field=f"gold[{i}]",
-                )
             records.append({
                 "type": "objvar",
                 "direction": decl.direction_text,
@@ -543,16 +556,11 @@ def declarations_to_gold(decls) -> list:
                 "vars": list(decl.terms),
             })
         else:
-            try:  # a number such as 1/3 has no decimal to write
-                limit = format_number(decl.limit)
-                terms = {v: format_number(c) for v, c in decl.terms.items()}
-            except ValueError as err:
-                raise ValidationError(str(err), field=f"gold[{i}]") from None
             records.append({
                 "type": "linear",
                 "direction": decl.direction_text,
-                "limit": limit,
-                "terms": terms,
+                "limit": format_number(decl.limit),
+                "terms": {v: format_number(c) for v, c in decl.terms.items()},
                 "operator": decl.operator,
             })
     return records
@@ -582,7 +590,6 @@ def problem_to_record(problem: Problem) -> dict:
     return record
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")
 # Only a \u escape puts a surrogate into a decoded string; a line without
 # one needs no closer look.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -651,20 +658,7 @@ def save_dataset(problems, path) -> None:
     Every line is encoded before ``path`` is opened, so a problem that
     cannot be written leaves ``path`` as it was.
     """
-    lines = []
-    for problem in problems:
-        try:
-            record = problem_to_record(problem)
-            line = json.dumps(record, ensure_ascii=False) + "\n"
-            lines.append(line.encode("utf-8"))
-        except ValidationError as err:
-            raise ValidationError(f"problem {problem.id!r}: {err.message}",
-                                  field=err.field) from None
-        except UnicodeEncodeError:
-            raise ValidationError(
-                f"problem {problem.id!r}: string holds an unpaired "
-                "surrogate, which UTF-8 cannot encode",
-                field=_lone_surrogate_at(record, "") or None,
-            ) from None
+    lines = [(json.dumps(problem_to_record(problem), ensure_ascii=False) + "\n")
+             .encode("utf-8") for problem in problems]
     with open(path, "wb") as fh:
         fh.writelines(lines)

@@ -217,6 +217,9 @@ def score_accuracy(gold, pred, mappings, tol=DEFAULT_TOLERANCE) -> ScoreReport:
         raise ValidationError(
             f"prediction ids not present in gold: {sorted(unknown)}"
         )
+    unmapped = set(gold) - set(mappings)
+    if unmapped:
+        raise ValidationError(f"gold ids without an order mapping: {sorted(unmapped)}")
     tol = check_tolerance(tol)
     per_example = []
     total_d = total_errors = 0

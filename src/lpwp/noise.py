@@ -33,8 +33,8 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("corruption fraction p must be in [0, 1]")
-        if self.shift_max < 1:
-            raise ValueError("shift_max must be positive")
+        if type(self.shift_max) is not int or self.shift_max < 1:
+            raise ValueError("shift_max must be a positive int")
 
 
 @dataclass

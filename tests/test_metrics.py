@@ -86,6 +86,13 @@ def test_unknown_prediction_id_rejected():
         score_accuracy({"a": []}, {"b": []}, {"a": mapping, "b": mapping})
 
 
+def test_gold_id_without_mapping_rejected():
+    gold = berry_problem().gold
+    with pytest.raises(ValidationError) as err:
+        score_accuracy({"berry": gold, "apple": gold}, {}, {})
+    assert "['apple', 'berry']" in str(err.value)
+
+
 def test_corpus_without_gold_declarations():
     problem = berry_problem()
     gold, mappings = {"berry": []}, {"berry": problem.order_mapping}

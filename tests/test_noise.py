@@ -297,3 +297,6 @@ def test_invalid_config_rejected():
         NoiseConfig(p=1.5, seed=0)
     with pytest.raises(ValueError):
         NoiseConfig(p=0.2, seed=0, shift_max=0)
+    for shift_max in (2.5, True):
+        with pytest.raises(ValueError):
+            NoiseConfig(p=1.0, seed=1, shift_max=shift_max)

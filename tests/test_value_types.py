@@ -60,7 +60,7 @@ def test_equality_and_hash():
     problem = berry_problem()
     assert problem == berry_problem()
     assert problem.gold[0] == berry_problem().gold[0] != problem.gold[1]
-    # A dict field makes these unhashable, and Problem is mutable.
+    # A dict or list field makes these unhashable, though they are frozen.
     for value in (OrderMapping({"x": 0}), problem, problem.gold[0]):
         with pytest.raises(TypeError):
             hash(value)
