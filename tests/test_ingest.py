@@ -761,16 +761,33 @@ def test_type_mutations_are_rejected_or_round_trip(data):
         assert ingest.load_dataset(saved) == [problem]
 
 
-def test_failed_save_leaves_the_target_as_it_was(tmp_path):
-    """Only a problem changed past its frozen dataclass after it was built
-    can fail to save, here with a text that UTF-8 cannot encode."""
-    problem = Problem("bad", "x", [], OrderMapping({"x": 0}))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        problem.gold = [ir.objective("min", "n", {"x": 1})]
-    object.__setattr__(problem, "text", "x\ud800")
+def changed_after_building(**fields):
+    """A problem given ``fields`` past its frozen dataclass after it was
+    built, which ``Problem`` itself would reject."""
+    objective = ir.objective("min", "n", {"x": 1})
+    problem = Problem("bad", "x", [], OrderMapping({"x": 0}), gold=[objective])
+    for name, value in fields.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, name, value)
+        object.__setattr__(problem, name, value)
+    return problem
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"text": "x\ud800"}, UnicodeEncodeError),
+    ({"gold": [ir.objective("min", "n", {"x": 1}),
+               ir.constraint("at most", "LESS_OR_EQUAL", Fraction(1, 3), {"x": 1})]},
+     ValueError),
+    ({"gold": [ir.objective("min", "n", {"x": 1}),
+               ir.constraint("at most", "LESS_OR_EQUAL", 1, {"x": Fraction(1, 3)})]},
+     ValueError),
+], ids=["lone_surrogate", "limit_one_third", "coefficient_one_third"])
+def test_failed_save_leaves_the_target_as_it_was(tmp_path, fields, error):
+    """Only a problem changed past its frozen dataclass can fail to save."""
+    problem = changed_after_building(**fields)
     target = tmp_path / "d.jsonl"
     target.write_bytes(b"earlier contents\n")
-    with pytest.raises(UnicodeEncodeError):
+    with pytest.raises(error):
         ingest.save_dataset([berry_problem(), problem], target)
     assert target.read_bytes() == b"earlier contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
