@@ -8,8 +8,9 @@ repaired.
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Optional
@@ -101,6 +102,18 @@ def _unwritable(what, text, field):
     return ValidationError(f"{what} {text!r} holds {holds}", field=field)
 
 
+# A file's keys, names and directions repeat across its problems, and a
+# corpus holds a few hundred distinct ones, so each is checked once per
+# process; the bound keeps a stream of distinct strings from growing it.
+@lru_cache(maxsize=4096)
+def _writable_name(text: str) -> str:
+    """``normalize_name(text)`` for a str that holds no IR token and no
+    lone surrogate; for any other str, ValueError, which is not cached."""
+    if _TOKEN_RE.search(text) or not text.isascii() and _SURROGATE.search(text):
+        raise ValueError(text)
+    return normalize_name(text)
+
+
 @dataclass(frozen=True, slots=True)
 class OrderMapping:
     """Assignment of variable surface names to canonical column indices."""
@@ -121,12 +134,13 @@ class OrderMapping:
                     f"order mapping index {column!r} of {key!r} is not an int",
                     field="order_mapping",
                 )
-            name = normalize_name(key)
+            try:
+                name = _writable_name(key)
+            except ValueError:
+                raise _unwritable("order mapping key", key, "order_mapping") from None
             if not name:
                 raise ValidationError(f"blank order mapping key {key!r}",
                                       field="order_mapping")
-            if _TOKEN_RE.search(key) or not key.isascii() and _SURROGATE.search(key):
-                raise _unwritable("order mapping key", key, "order_mapping")
             if name in index:
                 first = next(k for k in self.entries if normalize_name(k) == name)
                 raise ValidationError(
@@ -175,8 +189,12 @@ class Problem:
     spans: list  # EntitySpan, sorted by start
     order_mapping: OrderMapping
     gold: Optional[list] = None  # list of ir.Declaration
+    # True only from the dataset reader: every gold number it read came
+    # through parse_number, which applied the grammar and the digit limit,
+    # so _validate_gold does not check the numbers again.
+    _numbers_read: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _numbers_read):
         for name in ("id", "text"):
             value = getattr(self, name)
             if type(value) is not str:
@@ -186,7 +204,7 @@ class Problem:
                 raise ValidationError("string holds an unpaired surrogate, which "
                                       "UTF-8 cannot encode", field=name)
         object.__setattr__(self, "spans", check_spans(self.text, self.spans))
-        self._validate_gold()
+        self._validate_gold(_numbers_read)
 
     def with_spans(self, spans) -> "Problem":
         """A copy of this problem with ``spans`` in place of its spans.
@@ -209,7 +227,7 @@ class Problem:
         set_slot(problem, "gold", self.gold)
         return problem
 
-    def _validate_gold(self):
+    def _validate_gold(self, numbers_read):
         if self.gold is None:
             return
         entries = self.order_mapping.entries
@@ -219,8 +237,8 @@ class Problem:
         # direction, no IR token or lone surrogate in a name, direction or
         # variable, unit objective coefficients, and constraint numbers
         # whose plain decimal terminates and reads back within the digit
-        # limit. An objective direction is a min/max word, so it holds
-        # neither.
+        # limit, as every number the reader read does. An objective
+        # direction is a min/max word, so it holds neither.
         objectives = 0
         for i, decl in enumerate(self.gold):
             terms = decl.terms
@@ -232,9 +250,10 @@ class Problem:
                     if type(var) is not str:
                         raise ValidationError(f"variable {var!r} is not a str",
                                               field=f"gold[{i}]")
-                    if (_TOKEN_RE.search(var)
-                            or not var.isascii() and _SURROGATE.search(var)):
-                        raise _unwritable("variable", var, f"gold[{i}]")
+                    try:
+                        _writable_name(var)
+                    except ValueError:
+                        raise _unwritable("variable", var, f"gold[{i}]") from None
                     column = self.order_mapping.resolve(var)
                     terms[column] = terms.get(column, 0) + coeff
             if decl.kind == ir.OBJECTIVE:
@@ -246,9 +265,10 @@ class Problem:
                 name = decl.name
                 if not name.strip():
                     raise ValidationError("blank objective name", field=f"gold[{i}]")
-                if (_TOKEN_RE.search(name)
-                        or not name.isascii() and _SURROGATE.search(name)):
-                    raise _unwritable("objective name", name, f"gold[{i}]")
+                try:
+                    _writable_name(name)
+                except ValueError:
+                    raise _unwritable("objective name", name, f"gold[{i}]") from None
                 # Loaded objectives hold the one _ONE, which count finds by
                 # identity, without comparing Fractions.
                 if [*decl.terms.values()].count(_ONE) != len(decl.terms):
@@ -256,16 +276,20 @@ class Problem:
                         "objvar records cannot carry non-unit coefficients",
                         field=f"gold[{i}]",
                     )
-            elif not (direction := decl.direction_text).strip():
+                continue
+            direction = decl.direction_text
+            if not direction.strip():
                 raise ValidationError("blank constraint direction", field=f"gold[{i}]")
-            elif (_TOKEN_RE.search(direction)
-                    or not direction.isascii() and _SURROGATE.search(direction)):
-                raise _unwritable("constraint direction", direction, f"gold[{i}]")
-            elif not any(terms.values()):
+            try:
+                _writable_name(direction)
+            except ValueError:
+                raise _unwritable("constraint direction", direction,
+                                  f"gold[{i}]") from None
+            if not any(terms.values()):
                 raise ValidationError(
                     "constraint row has no nonzero entry", field=f"gold[{i}]"
                 )
-            else:
+            if not numbers_read:
                 # A chain, not a tuple as wide as the row: one such tuple
                 # per constraint, made while a load builds its problems,
                 # raised the peak memory of a solve pass.
@@ -448,7 +472,8 @@ def _linear(direction, operator, limit, terms):
 
 def _problem(id, text, spans, entries, gold):
     try:
-        return Problem(id, text, spans, OrderMapping(entries), gold)
+        return Problem(id, text, spans, OrderMapping(entries), gold,
+                       _numbers_read=True)
     except MappingError as err:
         raise ValidationError(str(err), field="gold") from err
 
@@ -567,7 +592,9 @@ def declarations_to_gold(decls) -> list:
 
 
 def problem_from_record(record, numbers: JsonNumbers, line=None) -> Problem:
-    """Build a problem from one decoded JSON record, reading gold through ``numbers``."""
+    """Build a problem from one decoded JSON record, reading gold through
+    ``numbers``. The problem's build does not check again the numbers that
+    ``numbers`` gives, so it must hold only what its own reads stored."""
     try:
         return _read_record(record, numbers) or read(record, RECORD, numbers)
     except ValidationError as err:
@@ -652,13 +679,18 @@ def load_dataset(path) -> list:
     return problems
 
 
+# json.dumps(record, ensure_ascii=False) without a new encoder per call or a
+# cycle check: problem_to_record builds a new acyclic tree each time.
+_encode = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+
+
 def save_dataset(problems, path) -> None:
     """Write problems as JSONL; round-trips exactly through load_dataset.
 
     Every line is encoded before ``path`` is opened, so a problem that
     cannot be written leaves ``path`` as it was.
     """
-    lines = [(json.dumps(problem_to_record(problem), ensure_ascii=False) + "\n")
-             .encode("utf-8") for problem in problems]
+    lines = [(_encode(problem_to_record(problem)) + "\n").encode("utf-8")
+             for problem in problems]
     with open(path, "wb") as fh:
         fh.writelines(lines)

@@ -19,6 +19,8 @@ from fractions import Fraction
 _SHORT = 640
 # Python before 3.10.7 has no limit; its numbers are bound by today's default.
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+# The characters a message quotes from each end of a long number text.
+_QUOTED_END = 20
 # The lookahead demands a mantissa digit, so "." and "" do not match.
 _NUMBER_RE = re.compile(
     r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?"
@@ -33,6 +35,15 @@ class Literal(str):
 decode_json = json.JSONDecoder(parse_float=Literal).decode
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for a message: whole when short, else its head and
+    tail and its length, so a message stays short whatever it quotes."""
+    if len(text) <= 3 * _QUOTED_END:
+        return repr(text)
+    return (f"{text[:_QUOTED_END]!r}...{text[-_QUOTED_END:]!r} "
+            f"({len(text)} characters)")
+
+
 def parse_number(text: str) -> Fraction:
     """Exact rational of a number in the grammar above.
 
@@ -42,7 +53,7 @@ def parse_number(text: str) -> Fraction:
     """
     match = _NUMBER_RE.fullmatch(text)
     if match is None:
-        raise ValueError(f"{text!r} is not a number")
+        raise ValueError(f"{_quoted(text)} is not a number")
     sign, whole, fraction, exponent = match.groups()
     if exponent is None and len(text) <= _SHORT:
         if not fraction:
@@ -53,7 +64,7 @@ def parse_number(text: str) -> Fraction:
     shift = int(exponent or 0) - len(fraction)
     limit = _max_str_digits()
     if limit and max(len(digits) + shift, 1) + max(-shift, 0) > limit:
-        raise ValueError(f"{text!r} needs more than {limit} digits")
+        raise ValueError(f"{_quoted(text)} needs more than {limit} digits")
     if shift >= 0:
         return Fraction(int(sign + digits) * 10**shift)
     return Fraction(int(sign + digits), 10**-shift)

@@ -329,6 +329,42 @@ def test_problem_built_in_python_needs_gold_with_canonical_form(gold, field):
     with pytest.raises(ValidationError) as err:
         Problem("p", "x", [], OrderMapping({"x": 0}), gold=gold)
     assert err.value.field == field
+    # A number of thousands of digits is quoted by its ends, not in full.
+    assert len(str(err.value)) < 200
+
+
+@pytest.mark.parametrize("limit", [Fraction(1, 3), Fraction(1, 10**5000)],
+                         ids=["one_third", "too_many_places"])
+def test_numbers_are_checked_in_a_problem_built_after_a_load(tmp_path, limit):
+    """A load does not check again the numbers it read, but a problem built
+    from the loaded one, with its names and mapping, checks its own."""
+    write_jsonl(tmp_path / "d.jsonl", [berry_record()])
+    (loaded,) = ingest.load_dataset(tmp_path / "d.jsonl")
+    gold = [*loaded.gold]
+    gold[1] = dataclasses.replace(gold[1], limit=limit)
+    for build in (lambda: Problem(loaded.id, loaded.text, loaded.spans,
+                                  loaded.order_mapping, gold),
+                  lambda: dataclasses.replace(loaded, gold=gold)):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert err.value.field == "gold[1]"
+
+
+def test_a_string_that_fails_its_check_fails_on_every_build():
+    """The check of each distinct string is memoized, but not its failure."""
+    for _ in range(2):
+        OrderMapping({"x": 0})
+        with pytest.raises(ValidationError) as err:
+            OrderMapping({"x": 0, "a </VAR> b": 1})
+        assert str(err.value) == ("[field order_mapping] order mapping key "
+                                  "'a </VAR> b' holds an IR token")
+        with pytest.raises(ValidationError) as err:
+            Problem("p", "x", [], OrderMapping({"x": 0}),
+                    gold=[ir.objective("min", "a </VAR> b", {"x": 1})])
+        assert str(err.value) == ("[field gold[0]] objective name 'a </VAR> b' "
+                                  "holds an IR token")
+    info = ingest._writable_name.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("gold, field", [
@@ -791,6 +827,39 @@ def test_failed_save_leaves_the_target_as_it_was(tmp_path, fields, error):
         ingest.save_dataset([berry_problem(), problem], target)
     assert target.read_bytes() == b"earlier contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
+
+# Text for ids, texts, keys, names and directions: non-ASCII letters, a
+# character beyond the BMP (a surrogate pair in UTF-16), a line separator,
+# and quotes and backslashes, which JSON escapes.
+_JSON_TEXT = st.text(st.sampled_from(["a", "B", " ", "\t", '"', "\\", "\u00e9", "\u00df",
+                                      "\u2028", "\U0001F600"]),
+                     min_size=1, max_size=6)
+_JSON_NAME = _JSON_TEXT.filter(str.strip)
+
+
+@seed(20261020)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_save_writes_each_problem_as_json_dumps_does(data):
+    problems = []
+    for pid in data.draw(st.lists(_JSON_TEXT, min_size=1, max_size=3, unique=True)):
+        keys = data.draw(st.lists(_JSON_NAME, min_size=1, max_size=3,
+                                  unique_by=ingest.normalize_name))
+        gold = [ir.objective("min", data.draw(_JSON_NAME), dict.fromkeys(keys, 1)),
+                ir.constraint(data.draw(_JSON_NAME), ir.LESS_OR_EQUAL,
+                              data.draw(st.decimals(-5, 5, places=2)), {keys[-1]: 1})]
+        problems.append(Problem(
+            pid, data.draw(_JSON_TEXT), [EntitySpan(0, 1, "VAR")],
+            OrderMapping({k: i for i, k in enumerate(keys)}),
+            gold=data.draw(st.sampled_from([None, gold]))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        ingest.save_dataset(problems, path)
+        assert path.read_bytes() == "".join(
+            json.dumps(ingest.problem_to_record(p), ensure_ascii=False) + "\n"
+            for p in problems).encode("utf-8")
+        assert ingest.load_dataset(path) == problems
 
 
 def test_save_writes_through_the_target_it_is_given(tmp_path):
