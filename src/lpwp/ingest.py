@@ -594,7 +594,8 @@ def declarations_to_gold(decls) -> list:
 def problem_from_record(record, numbers: JsonNumbers, line=None) -> Problem:
     """Build a problem from one decoded JSON record, reading gold through
     ``numbers``. The problem's build does not check again the numbers that
-    ``numbers`` gives, so it must hold only what its own reads stored."""
+    ``numbers`` gives: a ``JsonNumbers`` refuses writes, so it holds only
+    what its own reads stored."""
     try:
         return _read_record(record, numbers) or read(record, RECORD, numbers)
     except ValidationError as err:

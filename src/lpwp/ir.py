@@ -81,7 +81,9 @@ def declaration_to_json_dict(decl: Declaration) -> dict:
 
 
 def _format_coefficient(value: Fraction) -> str:
-    return "ONE" if value == 1 else format_number(value)
+    # Only the value 1 is written "1", so the text tells it.
+    text = format_number(value)
+    return "ONE" if text == "1" else text
 
 
 def _serialize_terms(terms) -> str:

@@ -11,7 +11,6 @@ ASCII grammar, and JSON float literals are read from their text:
 import json
 import re
 import sys
-from decimal import Context, Inexact
 from fractions import Fraction
 
 # The least limit sys.set_int_max_str_digits accepts: a plain decimal this
@@ -51,6 +50,16 @@ def parse_number(text: str) -> Fraction:
     a plain decimal (as ``format_number`` writes it), it would have more
     digits than ``sys.get_int_max_str_digits()`` lets ``int`` read back.
     """
+    # A plain decimal, [+-]digits[.digits], is read with str methods alone;
+    # the regex reads the rest. isdigit() admits non-ASCII digits, which
+    # isascii() keeps out, and a text this short is within any digit limit.
+    if len(text) <= _SHORT and text.isascii():
+        whole, point, fraction = text.partition(".")
+        digits = whole[1:] if whole[:1] in ("+", "-") else whole
+        if digits.isdigit() and (fraction.isdigit() or not point):
+            if not point:
+                return Fraction(int(whole))
+            return Fraction(int(whole + fraction), 10 ** len(fraction))
     match = _NUMBER_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"{_quoted(text)} is not a number")
@@ -78,7 +87,11 @@ class JsonNumbers(dict):
     read earlier; an int is converted on each lookup. Any other value raises
     ValueError, or TypeError if it is unhashable. A text that fails to read
     is not stored. Make one per file or call; the stored Fractions are
-    immutable and safe to share.
+    immutable and safe to share. Only its own reads store: a write
+    (``numbers[text] = value``, ``setdefault``, ``update``, ``|=``) raises
+    TypeError, so every stored Fraction is what ``parse_number`` read from
+    its text, and a build may trust it without a check. Reads stay dict's
+    own C lookup: a solve load makes hundreds of thousands of them.
 
     ``shared`` is a memo of immutable values that readers fill, so that
     equal values read through one instance are one object: a string ``s``
@@ -95,8 +108,14 @@ class JsonNumbers(dict):
             return Fraction(value)
         if type(value) is not str and type(value) is not Literal:
             raise ValueError(f"expected a number, got {value!r}")
-        number = self[value] = parse_number(value)
+        number = parse_number(value)
+        dict.__setitem__(self, value, number)
         return number
+
+    def _refuse_write(self, *args, **kwargs):
+        raise TypeError("JsonNumbers stores only the numbers it reads")
+
+    __setitem__ = setdefault = update = __ior__ = _refuse_write
 
 
 def exact(value) -> Fraction:
@@ -123,14 +142,24 @@ def format_number(value: Fraction) -> str:
     n, d = value.numerator, value.denominator
     if d == 1:
         return str(n)
-    # This precision holds every digit of a terminating quotient, so the
-    # division is exact or signals Inexact.
-    context = Context(prec=n.bit_length() + d.bit_length() + 1, traps=[Inexact])
-    try:
-        text = format(context.divide(n, d), "f")
-    except Inexact:
-        raise ValueError(f"{value} has no terminating decimal expansion") from None
-    limit = _max_str_digits()
-    if limit and len(text) > limit and len(text.lstrip("-0.").replace(".", "")) > limit:
+    # The expansion terminates when d is 2**twos * 5**fives; it then has
+    # the larger of the two as places, and its last digit is not 0.
+    twos = (d & -d).bit_length() - 1
+    odd = d >> twos
+    fives = 0
+    while odd % 5 == 0:
+        odd //= 5
+        fives += 1
+    if odd != 1:
+        raise ValueError(f"{value} has no terminating decimal expansion")
+    places = twos if twos > fives else fives
+    scaled = abs(n) * 10**places // d
+    # An int of fewer than 3 * _SHORT bits has fewer than _SHORT digits,
+    # within any limit.
+    limit = scaled.bit_length() >= 3 * _SHORT and _max_str_digits()
+    if limit and scaled >= 10**limit:
         raise ValueError(f"the expansion of a value needs more than {limit} digits")
-    return text
+    digits = str(scaled).rjust(places + 1, "0")
+    if n < 0:
+        return f"-{digits[:-places]}.{digits[-places:]}"
+    return f"{digits[:-places]}.{digits[-places:]}"

@@ -1,8 +1,12 @@
-"""Shared fixtures: the berry-picker example and random-instance generators."""
+"""Shared fixtures: the berry-picker example, random-instance generators and
+a count of executed lines for scaling gates."""
 
+import os
 import re
+import sys
 from fractions import Fraction
 
+import lpwp
 from lpwp import ingest, ir
 from lpwp.ingest import EntitySpan, OrderMapping, Problem
 
@@ -227,3 +231,36 @@ def replace_at(value, path, new):
     copy = dict(value) if isinstance(value, dict) else list(value)
     copy[path[0]] = replace_at(value[path[0]], path[1:], new)
     return copy
+
+
+# --- Scaling: a count of executed lines, not a time -------------------------
+
+_LPWP_DIR = os.path.dirname(os.path.abspath(lpwp.__file__)) + os.sep
+
+
+def line_events(call, *args):
+    """The number of ``sys.settrace`` line events that ``call(*args)`` runs
+    in the ``lpwp`` package, which repeats exactly from run to run.
+
+    It does not count work done inside one C call, such as ``in`` or
+    ``index`` on a list, ``str.join`` or a regex match: a quadratic loop of
+    that kind reads as linear here, and only a wall time shows it.
+    """
+    count = 0
+
+    def on_line(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename.startswith(_LPWP_DIR) else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(previous)
+    return count

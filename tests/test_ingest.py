@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 import os
 import random
 import sys
@@ -754,6 +755,24 @@ def test_gold_variable_that_is_not_a_str_is_rejected():
         Problem("p", "x", [], OrderMapping({"x": 0}),
                 gold=[ir.objective("min", "n", {"x": 1, 2: 1})])
     assert err.value.field == "gold[0]"
+
+
+def test_shared_reader_refuses_writes(tmp_path):
+    # A build trusts what the reader gives: a stored 1/3 under "0.5" would
+    # build a problem whose save raises.
+    numbers, third = JsonNumbers(), Fraction(1, 3)
+    for write in (lambda: operator.setitem(numbers, "0.5", third),
+                  lambda: numbers.setdefault("0.5", third),
+                  lambda: numbers.update({"0.5": third}),
+                  lambda: operator.ior(numbers, {"0.5": third})):
+        with pytest.raises(TypeError):
+            write()
+    assert numbers == {}
+    record = berry_record(gold=[OBJ, dict(LIN, limit="0.5")])
+    problem = ingest.problem_from_record(record, numbers, line=1)
+    assert problem.gold[1].limit == Fraction(1, 2)
+    ingest.save_dataset([problem], tmp_path / "saved.jsonl")
+    assert ingest.load_dataset(tmp_path / "saved.jsonl") == [problem]
 
 
 def test_objective_direction_words_load_in_any_spelling(tmp_path):

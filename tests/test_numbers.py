@@ -47,7 +47,11 @@ def outcome(reader, value):
 
 EDGE_STRINGS = ["-0", "-0.50", "007", "+4", ".5", "5.", " 3", "1_000", "1e3",
                 "1/2", "1/3", "٣", "", ".", "-", "+.5", "-.5", "5.5.5",
-                "1e-05", "nan", "inf", " -2.25 \n"]
+                "1e-05", "nan", "inf", " -2.25 \n",
+                # Around the plain-decimal reader: signs, points, non-ASCII
+                # digits, and its length bound (_SHORT, 640 characters).
+                "+-5", "-+5", "5-", "1.2.3", "+5", "007.50", "-0.0", "٣.5", "5.٣",
+                "1.5e3", "-" + "9" * 636 + ".25", "-" + "9" * 637 + ".25"]
 JSON_VALUES = [0, -7, 10**30, 0.5, -2.5, 1e-05, 1e16, True, None]
 
 
@@ -83,6 +87,11 @@ def assert_same_as_reference(value):
 @pytest.mark.parametrize("value", EDGE_STRINGS)
 def test_edge_strings_read_as_before(value):
     assert_same_as_reference(value)
+    if outcome(reference_parse_number, value) is ValueError:
+        # outcome compares only the class: pin the message as well.
+        with pytest.raises(ValueError) as err:
+            parse_number(value)
+        assert str(err.value) == f"{value!r} is not a number"
 
 
 @pytest.mark.parametrize("value", JSON_VALUES)
