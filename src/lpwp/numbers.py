@@ -9,6 +9,7 @@ ASCII grammar, and JSON float literals are read from their text:
 """
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ _SHORT = 640
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 4300)
 # The characters a message quotes from each end of a long number text.
 _QUOTED_END = 20
+_LOG2_5 = math.log2(5)
 # The lookahead demands a mantissa digit, so "." and "" do not match.
 _NUMBER_RE = re.compile(
     r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?"
@@ -64,10 +66,6 @@ def parse_number(text: str) -> Fraction:
     if match is None:
         raise ValueError(f"{_quoted(text)} is not a number")
     sign, whole, fraction, exponent = match.groups()
-    if exponent is None and len(text) <= _SHORT:
-        if not fraction:
-            return Fraction(int(sign + whole))
-        return Fraction(int(sign + whole + fraction), 10 ** len(fraction))
     fraction = fraction or ""
     digits = whole + fraction
     shift = int(exponent or 0) - len(fraction)
@@ -143,17 +141,21 @@ def format_number(value: Fraction) -> str:
     if d == 1:
         return str(n)
     # The expansion terminates when d is 2**twos * 5**fives; it then has
-    # the larger of the two as places, and its last digit is not 0.
+    # the larger of the two as places, and its last digit is not 0. 5**k
+    # has floor(k * log2(5)) + 1 bits, so its bits / log2(5) lie in
+    # (k, k + 0.44) and round to k: one power tells whether odd is 5**k.
     twos = (d & -d).bit_length() - 1
     odd = d >> twos
-    fives = 0
-    while odd % 5 == 0:
-        odd //= 5
-        fives += 1
-    if odd != 1:
+    fives = round(odd.bit_length() / _LOG2_5)
+    if 5**fives != odd:
         raise ValueError(f"{value} has no terminating decimal expansion")
-    places = twos if twos > fives else fives
-    scaled = abs(n) * 10**places // d
+    # abs(n) * 10**places // d, without the division.
+    if twos > fives:
+        places = twos
+        scaled = abs(n) * 5 ** (twos - fives)
+    else:
+        places = fives
+        scaled = abs(n) << (fives - twos)
     # An int of fewer than 3 * _SHORT bits has fewer than _SHORT digits,
     # within any limit.
     limit = scaled.bit_length() >= 3 * _SHORT and _max_str_digits()

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from lpwp.numbers import (JsonNumbers, Literal, decode_json, exact, format_number,
                           parse_number)
 
+from helpers import line_events
+
 # The documented number grammar, checked independently of the reader: an
 # ASCII regular expression, then Fraction(str), which accepts all of it.
 GRAMMAR = r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?"
@@ -190,6 +192,8 @@ def assert_formats_as_reference(value):
 
 @settings(max_examples=500, deadline=None)
 @given(st.integers(-10**40, 10**40), st.integers(0, 80), st.integers(0, 80))
+@example(7, 0, 1000)  # powers of 5 far past the drawn ones
+@example(-7, 1001, 1000)
 def test_format_number_matches_reference_on_terminating_values(numerator, twos, fives):
     value = Fraction(numerator, 2**twos * 5**fives)
     assert_formats_as_reference(value)
@@ -201,6 +205,9 @@ def test_format_number_matches_reference_on_terminating_values(numerator, twos, 
        st.sampled_from([3, 7, 9, 11, 13, 21, 3**20, 10**9 + 7]))
 @example(1, 0, 0, 3)
 @example(2, 0, 0, 7)
+@example(1, 0, 6000, 3)
+@example(1, 0, 0, 5**1000 + 2)  # as many bits as a power of 5
+@example(1, 0, 0, 5**6000 + 2)
 def test_format_number_refuses_non_terminating_values(numerator, twos, fives, odd):
     assume(math.gcd(numerator, odd) == 1)
     value = Fraction(numerator, 2**twos * 5**fives * odd)
@@ -234,6 +241,13 @@ def test_format_number_at_the_digit_limit_matches_reference(digits, places, sign
 def test_format_number_around_the_digit_limit(value, written):
     assert_formats_as_reference(value)
     assert (format_outcome(format_number, value) is not ValueError) is written
+
+
+def test_format_number_runs_the_same_lines_for_any_power_of_five():
+    # No loop over the factors of the denominator: a loop's cost would grow
+    # with the power, and each of its steps divides a big int.
+    assert (line_events(format_number, Fraction(1, 5**600))
+            == line_events(format_number, Fraction(1, 5)))
 
 
 @pytest.mark.parametrize("value, number", [
