@@ -11,15 +11,13 @@ import re
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Optional
 
 from . import ir
 from .errors import (MappingError, StructureError, ToolkitError,
                      UnsupportedDeclarationError, ValidationError)
-from .numbers import (_SHORT, JsonNumbers, Literal, decode_json, format_number,
-                      parse_number)
+from .numbers import JsonNumbers, Literal, decode_json, format_number, parse_number
 
 LABELS = ("CONST_DIR", "LIMIT", "OBJ_DIR", "OBJ_NAME", "PARAM", "VAR")
 
@@ -290,22 +288,11 @@ class Problem:
                     "constraint row has no nonzero entry", field=f"gold[{i}]"
                 )
             if not numbers_read:
-                # A chain, not a tuple as wide as the row: one such tuple
-                # per constraint, made while a load builds its problems,
-                # raised the peak memory of a solve pass.
-                for value in chain((decl.limit,), decl.terms.values()):
-                    # A decimal terminates when its denominator divides a
-                    # power of ten; 10**d.bit_length() is high enough. A
-                    # number of fewer than _SHORT bits in all writes at most
-                    # _SHORT digits, within any digit limit.
-                    n, d = value.as_integer_ratio()
-                    if (d != 1 and pow(10, d.bit_length(), d)
-                            or n.bit_length() + d.bit_length() >= _SHORT):
-                        try:  # raises with save's or load's message
-                            parse_number(format_number(value))
-                        except ValueError as err:
-                            raise ValidationError(str(err),
-                                                  field=f"gold[{i}]") from None
+                for value in (decl.limit, *decl.terms.values()):
+                    try:  # raises with save's or load's message
+                        parse_number(format_number(value))
+                    except ValueError as err:
+                        raise ValidationError(str(err), field=f"gold[{i}]") from None
         if objectives != 1:
             raise ValidationError("gold needs exactly one objective", field="gold")
 

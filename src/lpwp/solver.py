@@ -150,20 +150,20 @@ def solve_lp(formulation: CanonicalFormulation, eps: float = DEFAULT_EPS) -> LpS
     b = np.array([v.numerator / v.denominator for v in formulation.limits])
 
     # Ax + s = b with slacks s >= 0; rows with negative b are negated and get
-    # an artificial variable to provide an initial basis.
+    # an artificial variable to provide an initial basis. The tableau's
+    # columns are x | slacks | artificials | b.
     negate = b < 0
-    body = np.hstack([a, np.eye(m)])
-    rhs = b.copy()
-    body[negate] *= -1.0
-    rhs[negate] *= -1.0
-    art_rows = np.nonzero(negate)[0]
+    art_rows = np.flatnonzero(negate)
     n_art = art_rows.size
-    art_cols = np.zeros((m, n_art))
-    for k, i in enumerate(art_rows):
-        art_cols[i, k] = 1.0
-    tableau = np.hstack([body, art_cols, rhs[:, None]])
-    basis = [n + i for i in range(m)]  # slack basis by default
-    for k, i in enumerate(art_rows):
+    tableau = np.zeros((m, n + m + n_art + 1))
+    tableau[:, :n] = a
+    tableau[range(m), range(n, n + m)] = 1.0
+    tableau[:, -1] = b
+    tableau[negate, : n + m] *= -1.0
+    tableau[negate, -1] *= -1.0
+    tableau[art_rows, range(n + m, n + m + n_art)] = 1.0
+    basis = list(range(n, n + m))  # slack basis by default
+    for k, i in enumerate(art_rows.tolist()):
         basis[i] = n + m + k
 
     if n_art:
@@ -176,27 +176,24 @@ def solve_lp(formulation: CanonicalFormulation, eps: float = DEFAULT_EPS) -> LpS
         # Pivot leftover artificials out of the basis where possible.
         for i in range(m):
             if basis[i] >= n + m:
-                pivot_cols = np.nonzero(
-                    np.abs(tableau[i, : n + m]) > eps
-                )[0]
+                pivot_cols = np.flatnonzero(np.abs(tableau[i, : n + m]) > eps)
                 if pivot_cols.size:
                     _pivot(tableau, basis, i, int(pivot_cols[0]))
-        # Rows still basic in an artificial are redundant; drop them.
+        # Rows still basic in an artificial are redundant: drop them, and
+        # the artificial columns, in one step.
         keep = [i for i in range(m) if basis[i] < n + m]
-        tableau = tableau[keep]
+        tableau = tableau[np.ix_(keep, [*range(n + m), -1])]
         basis = [basis[i] for i in keep]
-    tableau = np.hstack([tableau[:, : n + m], tableau[:, -1:]])
 
     phase2_costs = np.concatenate([c, np.zeros(m)])
     status = _run_simplex(tableau, basis, phase2_costs, eps)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED)
     x = np.zeros(n + m)
-    for i, j in enumerate(basis):
-        x[j] = tableau[i, -1]
+    x[basis] = tableau[:, -1]
     solution = x[:n]
     return LpSolution(
         status=OPTIMAL,
-        x=[float(v) for v in solution],
+        x=solution.tolist(),
         objective_value=float(c @ solution),
     )

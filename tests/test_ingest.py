@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from lpwp import ingest, ir
@@ -24,7 +24,7 @@ from lpwp.errors import (
 )
 from lpwp.ingest import EntitySpan, OrderMapping, Problem
 from lpwp.ir import serialize_declarations
-from lpwp.numbers import JsonNumbers, decode_json
+from lpwp.numbers import JsonNumbers, decode_json, format_number, parse_number
 from lpwp.solver import solve_lp
 
 from helpers import (
@@ -349,6 +349,45 @@ def test_numbers_are_checked_in_a_problem_built_after_a_load(tmp_path, limit):
         with pytest.raises(ValidationError) as err:
             build()
         assert err.value.field == "gold[1]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerator=st.integers(-10**9, 10**9), twos=st.integers(0, 4400),
+       fives=st.integers(0, 1900), odd=st.sampled_from([1, 1, 3, 7, 9, 11]),
+       as_limit=st.booleans())
+# Numerator and denominator of 639 and of 640 bits in all: a number of
+# fewer than 640 bits writes fewer than 640 digits, so a shortcut past the
+# round trip for short numbers would have its edge here.
+@example(numerator=2**637 + 1, twos=0, fives=0, odd=1, as_limit=True)
+@example(numerator=2**638 + 1, twos=0, fives=0, odd=1, as_limit=False)
+@example(numerator=1, twos=637, fives=0, odd=1, as_limit=True)
+@example(numerator=-1, twos=638, fives=0, odd=1, as_limit=False)
+@example(numerator=3, twos=0, fives=274, odd=1, as_limit=True)
+@example(numerator=-7, twos=0, fives=274, odd=1, as_limit=False)
+@example(numerator=2**636, twos=0, fives=0, odd=3, as_limit=True)
+# Past the digit limit: 4,301 places, and a value of more than 4,300 digits.
+@example(numerator=1, twos=4301, fives=0, odd=1, as_limit=True)
+@example(numerator=10**4301, twos=0, fives=0, odd=1, as_limit=False)
+def test_problem_accepts_a_gold_number_exactly_when_it_round_trips(
+        numerator, twos, fives, odd, as_limit):
+    """A problem built in Python accepts a limit or coefficient exactly when
+    its plain decimal writes and reads back, and otherwise names the
+    declaration with the writer's or reader's message."""
+    value = Fraction(numerator, 2**twos * 5**fives * odd)
+    try:
+        parse_number(format_number(value))
+    except ValueError as err:
+        message = str(err)
+    else:
+        message = None
+    limit, terms = (value, {"x": 1}) if as_limit else (1, {"x": 1, "y": value})
+    gold = [OBJECTIVE_X, ir.constraint("at most", ir.LESS_OR_EQUAL, limit, terms)]
+    if message is None:
+        Problem("p", "x", [], OrderMapping({"x": 0, "y": 1}), gold=gold)
+        return
+    with pytest.raises(ValidationError) as err:
+        Problem("p", "x", [], OrderMapping({"x": 0, "y": 1}), gold=gold)
+    assert (err.value.field, err.value.message) == ("gold[1]", message)
 
 
 def test_a_string_that_fails_its_check_fails_on_every_build():

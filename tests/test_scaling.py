@@ -6,14 +6,26 @@ import random
 from fractions import Fraction
 
 from lpwp import ingest, ir
+from lpwp.augment import augment_text
+from lpwp.canonical import canonicalize
+from lpwp.ingest import LABELS, EntitySpan, OrderMapping, Problem
+from lpwp.metrics import score_accuracy
+from lpwp.noise import NoiseConfig, corrupt_spans
 
-from helpers import line_events, random_problem
+from helpers import line_events, matching_chain, random_declaration, random_problem
 
 GROWTH = 4.5
 
 
-def assert_linear(small, large):
-    assert large <= GROWTH * small, (small, large, large / small)
+def assert_linear(call, small, large):
+    """``call(*large)`` runs at most GROWTH times the lines of ``call(*small)``.
+
+    ``call(*small)`` runs once first, to fill the process-wide memos, so the
+    counts do not depend on which tests ran before.
+    """
+    call(*small)
+    counts = [line_events(call, *args) for args in (small, large)]
+    assert counts[1] <= GROWTH * counts[0], (*counts, counts[1] / counts[0])
 
 
 def test_load_dataset_scales_linearly(tmp_path):
@@ -23,10 +35,14 @@ def test_load_dataset_scales_linearly(tmp_path):
     for n in (200, 800):
         paths.append(tmp_path / f"{n}.jsonl")
         ingest.save_dataset(problems[:n], paths[-1])
-    # Fill the process-wide memos first, so the counts do not depend on
-    # which tests ran before.
-    ingest.load_dataset(paths[0])
-    assert_linear(*(line_events(ingest.load_dataset, path) for path in paths))
+    assert_linear(ingest.load_dataset, (paths[0],), (paths[1],))
+
+
+def test_save_dataset_scales_linearly(tmp_path):
+    rng = random.Random(4)
+    problems = [random_problem(rng, f"p{i}") for i in range(800)]
+    assert_linear(ingest.save_dataset, (problems[:200], tmp_path / "200.jsonl"),
+                  (problems, tmp_path / "800.jsonl"))
 
 
 def _faulty_line(n):
@@ -39,10 +55,77 @@ def _faulty_line(n):
 
 
 def test_lenient_parse_scales_linearly():
-    counts = []
+    lines = []
     for n in (100, 400):
-        line = _faulty_line(n)
-        decls, diagnostics = ir.parse_declarations(line, "lenient")
+        lines.append(_faulty_line(n))
+        decls, diagnostics = ir.parse_declarations(lines[-1], "lenient")
         assert (len(decls), len(diagnostics)) == (n, 2 * n)
-        counts.append(line_events(ir.parse_declarations, line, "lenient"))
-    assert_linear(*counts)
+    assert_linear(ir.parse_declarations, (lines[0], "lenient"), (lines[1], "lenient"))
+
+
+def _spanned_problem(k):
+    """A problem of ``k`` words, each an entity span."""
+    rng = random.Random(k)
+    text = " ".join(f"w{i}" for i in range(k))
+    spans, start = [], 0
+    for word in text.split(" "):
+        spans.append(EntitySpan(start, start + len(word), rng.choice(LABELS)))
+        start += len(word) + 1
+    return Problem("p", text, spans, OrderMapping({}))
+
+
+def test_augment_text_scales_linearly():
+    small, large = _spanned_problem(500), _spanned_problem(2000)
+    assert_linear(augment_text, (small.text, small.spans), (large.text, large.spans))
+
+
+def test_corrupt_spans_scales_linearly():
+    config = NoiseConfig(p=0.5, seed=1)
+    assert_linear(corrupt_spans, ([_spanned_problem(500)], config),
+                  ([_spanned_problem(2000)], config))
+
+
+_VARIABLES = [f"v{i}" for i in range(6)]
+
+
+def _declarations(k):
+    """``k`` random declarations over the same six variables."""
+    rng = random.Random(5)
+    return [random_declaration(rng, _VARIABLES) for _ in range(k)]
+
+
+def test_serialize_declarations_scales_linearly():
+    assert_linear(ir.serialize_declarations, (_declarations(250),),
+                  (_declarations(1000),))
+
+
+def test_strict_parse_scales_linearly():
+    small, large = (ir.serialize_declarations(_declarations(k)) for k in (250, 1000))
+    assert_linear(ir.parse_declarations, (small, "strict"), (large, "strict"))
+
+
+def test_canonicalize_scales_linearly():
+    mapping = OrderMapping({name: i for i, name in enumerate(_VARIABLES)})
+    objective = ir.objective("minimize", "cost", dict.fromkeys(_VARIABLES, 1))
+
+    def program(k):
+        constraints = [d for d in _declarations(3 * k) if d.kind == ir.CONSTRAINT]
+        return [objective, *constraints[:k]]
+
+    assert_linear(canonicalize, (program(250), mapping), (program(1000), mapping))
+
+
+def _chain_scores(n, tol):
+    """Arguments of score_accuracy on one example, ``matching_chain(n)``."""
+    gold, pred = matching_chain(n)
+    return {"chain": gold}, {"chain": pred}, {"chain": OrderMapping({"x": 0})}, tol
+
+
+def test_score_accuracy_scales_linearly_at_bound_zero():
+    assert_linear(score_accuracy, _chain_scores(250, 1e-9), _chain_scores(1000, 1e-9))
+
+
+def test_score_accuracy_scales_linearly_at_a_positive_bound():
+    small, large = _chain_scores(250, Fraction(1, 2)), _chain_scores(1000, Fraction(1, 2))
+    assert score_accuracy(*large).per_example[0].fn == 0  # a perfect matching
+    assert_linear(score_accuracy, small, large)
