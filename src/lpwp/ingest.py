@@ -235,10 +235,12 @@ class Problem:
         # direction, no IR token or lone surrogate in a name, direction or
         # variable, unit objective coefficients, and constraint numbers
         # whose plain decimal terminates and reads back within the digit
-        # limit, as every number the reader read does. An objective
-        # direction is a min/max word, so it holds neither.
+        # limit, as every number the reader read does (_check_numbers). An
+        # objective direction is a min/max word, so it holds neither.
         objectives = 0
         for i, decl in enumerate(self.gold):
+            if not numbers_read:
+                _check_numbers(decl, f"gold[{i}]")
             terms = decl.terms
             # Exact keys need no resolving; only other spellings do, and
             # they may add up to an all-zero row.
@@ -287,14 +289,29 @@ class Problem:
                 raise ValidationError(
                     "constraint row has no nonzero entry", field=f"gold[{i}]"
                 )
-            if not numbers_read:
-                for value in (decl.limit, *decl.terms.values()):
-                    try:  # raises with save's or load's message
-                        parse_number(format_number(value))
-                    except ValueError as err:
-                        raise ValidationError(str(err), field=f"gold[{i}]") from None
         if objectives != 1:
             raise ValidationError("gold needs exactly one objective", field="gold")
+
+
+def _check_numbers(decl, field):
+    """Check the numbers of a declaration built in Python, not read by a load.
+
+    Each is an int or a Fraction, as ``numbers.exact`` gives, so not a bool,
+    a float or a str. A constraint's limit and coefficients must also write
+    and read back, as every number the reader read does.
+    """
+    constraint = decl.kind == ir.CONSTRAINT
+    values = decl.terms.values()
+    for value in (decl.limit, *values) if constraint else values:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ValidationError(
+                f"expected an int or a Fraction, got {type(value).__name__}",
+                field=field)
+        if constraint:
+            try:  # raises with save's or load's message
+                parse_number(format_number(value))
+            except ValueError as err:
+                raise ValidationError(str(err), field=field) from None
 
 
 # --- The schema -------------------------------------------------------------

@@ -4,11 +4,14 @@ Solves: minimize c'x subject to Ax <= b, x >= 0. Bland's rule is used for
 pivot selection, so the method cannot cycle: the entering column is the
 smallest index with a reduced cost below -eps, and the leaving row has the
 smallest ratio, ties within eps going to the smaller basic index. Each pivot
-is one masked rank-1 update: the rows with a nonzero pivot-column entry are
-updated, with the same float operations as a row-by-row elimination, and
-the rows with a zero entry are not written at all. ``eps`` must be finite
-and non-negative. Entries of the canonical program are Fractions or ints.
-Instances are desk scale (n, m up to 100).
+is one rank-1 update, with the same float operations as a row-by-row
+elimination. Its pivot row is +0.0, and x - 0.0 is x for every float
+(-0.0, +-inf and NaN included), so when the pivot column has no zero entry
+the whole tableau is updated unmasked and the pivot row keeps its bits.
+Otherwise the update is masked: the rows with a zero pivot-column entry are
+not written at all, so their -0.0 entries keep their sign. ``eps`` must be
+finite and non-negative. Entries of the canonical program are Fractions or
+ints. Instances are desk scale (n, m up to 100).
 """
 
 import math
@@ -64,14 +67,21 @@ def formulation_from_json_dict(data) -> CanonicalFormulation:
 
 
 def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    # One masked rank-1 update: a row with a zero pivot-column entry is not
-    # written, not updated by a zero multiple, so its entries (-0.0 included)
-    # keep every bit. A NaN entry is nonzero, so its row is updated.
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    np.subtract(tableau, np.multiply.outer(factors, tableau[row]), out=tableau,
-                where=(factors != 0.0)[:, None])
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    # One rank-1 update. Its pivot row is +0.0, and x - 0.0 is x for every
+    # float (-0.0, +-inf and NaN included), so with no zero entry in the
+    # pivot column every row is updated unmasked. Otherwise a row with a
+    # zero entry is not written: a zero multiple would turn -0.0 - -0.0
+    # into +0.0 and 0 * inf into NaN. A NaN entry is nonzero, so its row is
+    # updated.
+    column = tableau[:, col, None]
+    update = column * pivot_row
+    update[row] = 0.0
+    if np.count_nonzero(column) == len(column):
+        tableau -= update
+    else:
+        np.subtract(tableau, update, out=tableau, where=column != 0.0)
     basis[row] = col
 
 
@@ -82,8 +92,9 @@ def _run_simplex(tableau, basis, costs, eps):
     # Views: pivots write the tableau in place, so these stay current.
     body, rhs = tableau[:, :-1], tableau[:, -1]
     basic = np.array(basis, dtype=np.intp)  # kept equal to basis
+    basic_costs = costs[basic]  # kept equal to costs[basic]
     while True:
-        reduced = costs - costs[basic] @ body
+        reduced = costs - basic_costs @ body
         reduced[basic] = 0.0
         negative = reduced < -eps
         col = int(negative.argmax())  # Bland: smallest eligible index
@@ -106,6 +117,7 @@ def _run_simplex(tableau, basis, costs, eps):
             return UNBOUNDED
         _pivot(tableau, basis, row, col)
         basic[row] = col
+        basic_costs[row] = costs[col]
 
 
 def solve_lp(formulation: CanonicalFormulation, eps: float = DEFAULT_EPS) -> LpSolution:

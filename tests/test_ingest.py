@@ -390,6 +390,32 @@ def test_problem_accepts_a_gold_number_exactly_when_it_round_trips(
     assert (err.value.field, err.value.message) == ("gold[1]", message)
 
 
+def _row(limit=1, coefficient=1):
+    """A constraint built directly, so its numbers do not pass exact()."""
+    return ir.Declaration(ir.CONSTRAINT, "at most", {"x": coefficient},
+                          operator=ir.LESS_OR_EQUAL, limit=limit)
+
+
+@pytest.mark.parametrize("gold, field, got", [
+    ([OBJECTIVE_X, _row(limit=0.5)], "gold[1]", "float"),
+    ([OBJECTIVE_X, _row(limit="0.5")], "gold[1]", "str"),
+    ([OBJECTIVE_X, _row(coefficient=0.5)], "gold[1]", "float"),
+    ([OBJECTIVE_X, _row(coefficient="0.5")], "gold[1]", "str"),
+    ([ir.Declaration(ir.OBJECTIVE, "min", {"x": 1.0}, name="n")], "gold[0]", "float"),
+    ([OBJECTIVE_X, _row(limit=True)], "gold[1]", "bool"),
+    ([ir.Declaration(ir.OBJECTIVE, "min", {"x": True}, name="n")], "gold[0]", "bool"),
+], ids=["limit_float", "limit_str", "coefficient_float", "coefficient_str",
+        "objective_float", "limit_bool", "objective_bool"])
+def test_problem_built_in_python_takes_gold_numbers_as_int_or_fraction(
+        gold, field, got):
+    """A float, str or bool gold number is named as a ValidationError, not
+    met later as an AttributeError in save or augment, nor built."""
+    with pytest.raises(ValidationError) as err:
+        Problem("p", "x", [], OrderMapping({"x": 0}), gold=gold)
+    assert (err.value.field, err.value.message) == (
+        field, f"expected an int or a Fraction, got {got}")
+
+
 def test_a_string_that_fails_its_check_fails_on_every_build():
     """The check of each distinct string is memoized, but not its failure."""
     for _ in range(2):

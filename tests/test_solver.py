@@ -204,6 +204,9 @@ def reference_run_simplex(tableau, basis, costs, eps):
 
 
 def test_pivot_matches_row_by_row_reference_bit_for_bit():
+    # _pivot subtracts unmasked when the pivot column has no zero entry,
+    # and masked otherwise; both branches are counted from the input.
+    unmasked = masked = 0
     rng = np.random.default_rng(5)
     for _ in range(200):
         m, width = rng.integers(1, 8), rng.integers(2, 10)
@@ -213,12 +216,44 @@ def test_pivot_matches_row_by_row_reference_bit_for_bit():
         row = int(rng.integers(m))
         col = int(rng.integers(width - 1))
         tableau[row, col] = float(rng.choice([-3.0, 0.7, 2.0]))
+        dense = bool(np.all(tableau[:, col] != 0.0))
+        unmasked, masked = unmasked + dense, masked + (not dense)
         expected, got = tableau.copy(), tableau.copy()
         basis_expected, basis_got = list(range(m)), list(range(m))
         reference_pivot(expected, basis_expected, row, col)
         solver._pivot(got, basis_got, row, col)
         assert expected.tobytes() == got.tobytes()
         assert basis_expected == basis_got
+    # Pivot columns with no zero entry, one in three holding a NaN factor,
+    # whose pivot rows and other rows hold -0.0 and +-inf.
+    special, held = [-0.0, np.inf, -np.inf], set()
+    for k in range(300):
+        m, width = rng.integers(2, 8), rng.integers(2, 10)
+        tableau = rng.choice([-3.0, -1.0, 0.1, 1 / 3, 2.0], size=(m, width))
+        where = rng.random((m, width)) < 0.3
+        tableau[where] = rng.choice(special, size=int(where.sum()))
+        row = int(rng.integers(m))
+        col = int(rng.integers(width - 1))
+        tableau[:, col] = rng.choice([-2.0, 0.3, 1 / 3, np.inf, -np.inf], size=m)
+        if k % 3 == 0:
+            tableau[(row + 1) % m, col] = np.nan
+        tableau[row, col] = float(rng.choice([-3.0, 0.7, 2.0]))
+        assert np.all(tableau[:, col] != 0.0)
+        unmasked += 1
+        for part, values in (("pivot row", tableau[row]),
+                             ("other rows", np.delete(tableau, row, axis=0))):
+            held.update((part, v.hex()) for v in values.ravel().tolist()
+                        if v in special)
+        expected, got = tableau.copy(), tableau.copy()
+        basis_expected, basis_got = list(range(m)), list(range(m))
+        with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 are NaN
+            reference_pivot(expected, basis_expected, row, col)
+            solver._pivot(got, basis_got, row, col)
+        assert expected.tobytes() == got.tobytes()
+        assert basis_expected == basis_got
+    assert held == {(part, v.hex()) for part in ("pivot row", "other rows")
+                    for v in special}
+    assert masked and unmasked
 
 
 # Far more pivots than Bland's rule takes on any program below: a solver
