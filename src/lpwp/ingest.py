@@ -269,8 +269,8 @@ class Problem:
                     _writable_name(name)
                 except ValueError:
                     raise _unwritable("objective name", name, f"gold[{i}]") from None
-                # Loaded objectives hold the one _ONE, which count finds by
-                # identity, without comparing Fractions.
+                # A loaded objective holds the int 1, _ONE, in every term,
+                # which count finds by identity without comparing numbers.
                 if [*decl.terms.values()].count(_ONE) != len(decl.terms):
                     raise ValidationError(
                         "objvar records cannot carry non-unit coefficients",
@@ -296,8 +296,8 @@ class Problem:
 def _check_numbers(decl, field):
     """Check the numbers of a declaration built in Python, not read by a load.
 
-    Each is an int or a Fraction, as ``numbers.exact`` gives, so not a bool,
-    a float or a str. A constraint's limit and coefficients must also write
+    Each is an int or a Fraction, as the readers give, so not a bool, a
+    float or a str. A constraint's limit and coefficients must also write
     and read back, as every number the reader read does.
     """
     constraint = decl.kind == ir.CONSTRAINT
@@ -461,7 +461,7 @@ def read(value, schema, numbers: JsonNumbers, field=None):
         raise
 
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 def _objvar(direction, name, variables):

@@ -25,14 +25,16 @@ CONSTRAINT = "constraint"
 
 @dataclass(frozen=True, slots=True)
 class Declaration:
-    """One objective or constraint, with exact rational coefficients."""
+    """One objective or constraint, with exact rational coefficients: ints
+    or Fractions, as ``lpwp.numbers`` reads them (``objective`` and
+    ``constraint`` give Fractions)."""
 
     kind: str
     direction_text: str
-    terms: dict  # variable surface name -> Fraction
+    terms: dict  # variable surface name -> int or Fraction
     name: Optional[str] = None
     operator: Optional[str] = None
-    limit: Optional[Fraction] = None
+    limit: int | Fraction | None = None
 
     def __post_init__(self):
         if self.kind not in (OBJECTIVE, CONSTRAINT):
@@ -80,7 +82,7 @@ def declaration_to_json_dict(decl: Declaration) -> dict:
     return out
 
 
-def _format_coefficient(value: Fraction) -> str:
+def _format_coefficient(value) -> str:
     # Only the value 1 is written "1", so the text tells it.
     text = format_number(value)
     return "ONE" if text == "1" else text
@@ -163,7 +165,7 @@ _CONSTRAINT_HEAD = ["<DECLARATION>", "<CONST_DIR>", "</CONST_DIR>", "<OPERATOR>"
                     "</OPERATOR>", "<LIMIT>", "</LIMIT>", "[is]"]
 _TERM = ["<VAR>", "</VAR>", "[TIMES]", "<PARAM>", "</PARAM>"]
 _HEADS = {"<OBJ_DIR>": _OBJECTIVE_HEAD, "<CONST_DIR>": _CONSTRAINT_HEAD}
-_ONE = Fraction(1)
+_ONE = 1
 # Each operator's text to its constant, which a parse holds in place of the
 # token's copy.
 _OPERATOR = dict(zip(OPERATORS, OPERATORS))

@@ -6,6 +6,10 @@ formulations, IR tokens, ``--tol``, strings given to ``exact``) follows one
 ASCII grammar, and JSON float literals are read from their text:
 
     [+-]? (digits ["." [digits]] | "." digits) [("e" | "E") [+-]? digits]
+
+A reader gives an ``int`` for a whole value ("7", "-0", "2.0", "1e2"), the
+cheaper exact rational, and a ``Fraction`` only for the rest; ``exact``
+alone always gives a ``Fraction``.
 """
 
 import json
@@ -45,8 +49,9 @@ def _quoted(text: str) -> str:
             f"({len(text)} characters)")
 
 
-def parse_number(text: str) -> Fraction:
-    """Exact rational of a number in the grammar above.
+def parse_number(text: str) -> int | Fraction:
+    """Exact rational of a number in the grammar above: an int when the
+    value is whole, else a Fraction.
 
     A number is rejected before any power of ten is built when, written as
     a plain decimal (as ``format_number`` writes it), it would have more
@@ -59,8 +64,8 @@ def parse_number(text: str) -> Fraction:
         whole, point, fraction = text.partition(".")
         digits = whole[1:] if whole[:1] in ("+", "-") else whole
         if digits.isdigit() and (fraction.isdigit() or not point):
-            if not point:
-                return Fraction(int(whole))
+            if not fraction.strip("0"):  # no point, or only zeros after it
+                return int(whole)
             return Fraction(int(whole + fraction), 10 ** len(fraction))
     match = _NUMBER_RE.fullmatch(text)
     if match is None:
@@ -73,8 +78,9 @@ def parse_number(text: str) -> Fraction:
     if limit and max(len(digits) + shift, 1) + max(-shift, 0) > limit:
         raise ValueError(f"{_quoted(text)} needs more than {limit} digits")
     if shift >= 0:
-        return Fraction(int(sign + digits) * 10**shift)
-    return Fraction(int(sign + digits), 10**-shift)
+        return int(sign + digits) * 10**shift
+    number = Fraction(int(sign + digits), 10**-shift)
+    return number.numerator if number.denominator == 1 else number
 
 
 class JsonNumbers(dict):
@@ -82,13 +88,14 @@ class JsonNumbers(dict):
 
     A number is an int or a number text (a JSON string or a ``Literal``).
     Only texts are stored, so a bool or a float never finds an equal int
-    read earlier; an int is converted on each lookup. Any other value raises
-    ValueError, or TypeError if it is unhashable. A text that fails to read
-    is not stored. Make one per file or call; the stored Fractions are
-    immutable and safe to share. Only its own reads store: a write
-    (``numbers[text] = value``, ``setdefault``, ``update``, ``|=``) raises
-    TypeError, so every stored Fraction is what ``parse_number`` read from
-    its text, and a build may trust it without a check. Reads stay dict's
+    read earlier; an int is returned as it is on each lookup. A text reads
+    as ``parse_number`` reads it: an int when whole, else a Fraction. Any
+    other value raises ValueError, or TypeError if it is unhashable. A text
+    that fails to read is not stored. Make one per file or call; the stored
+    numbers are immutable and safe to share. Only its own reads store: a
+    write (``numbers[text] = value``, ``setdefault``, ``update``, ``|=``)
+    raises TypeError, so every stored number is what ``parse_number`` read
+    from its text, and a build may trust it without a check. Reads stay dict's
     own C lookup: a solve load makes hundreds of thousands of them.
 
     ``shared`` is a memo of immutable values that readers fill, so that
@@ -103,7 +110,7 @@ class JsonNumbers(dict):
 
     def __missing__(self, value):
         if type(value) is int:
-            return Fraction(value)
+            return value
         if type(value) is not str and type(value) is not Literal:
             raise ValueError(f"expected a number, got {value!r}")
         number = parse_number(value)
@@ -121,7 +128,7 @@ def exact(value) -> Fraction:
     above, an int, finite float or Fraction is taken as it is. A bool or a
     float that is not finite raises ValueError."""
     if isinstance(value, str):
-        return parse_number(value)
+        return Fraction(parse_number(value))
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     try:
@@ -130,8 +137,9 @@ def exact(value) -> Fraction:
         raise ValueError(f"{value!r} is not a finite number") from None
 
 
-def format_number(value: Fraction) -> str:
-    """Render a rational as the exact decimal string it came from.
+def format_number(value: int | Fraction) -> str:
+    """Render a rational, an int or a Fraction, as the exact decimal string
+    it came from.
 
     Only rationals with a terminating decimal expansion are representable;
     anything else is a programming error upstream. As with ``str(int)``, a

@@ -27,13 +27,13 @@ def reference_parse_number(text):
     # Digits of the number written as a plain decimal, "0." included.
     if max(len(digits) + shift, 1) + max(-shift, 0) > sys.get_int_max_str_digits():
         raise ValueError(f"{text!r} needs more than the digit limit")
-    return Fraction(text)
+    return n.numerator if (n := Fraction(text)).denominator == 1 else n
 
 
 def reference_json_number(value):
     """A decoded JSON value: an int that is not a bool, or a number text."""
     if type(value) is int:
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         return reference_parse_number(value)
     raise ValueError(f"expected a number, got {value!r}")
