@@ -40,7 +40,10 @@ class CanonicalFormulation:
         }
 
 
-_ZERO = Fraction(0)
+# An int, as numpy and the matcher read one faster than a Fraction. An int 0
+# coefficient is this object, so a later spelling of its variable replaces it
+# rather than adds to it: the same value and type either way.
+_ZERO = 0
 
 
 def _terms_to_vector(terms, mapping: OrderMapping) -> list:

@@ -47,3 +47,7 @@ class MappingError(ToolkitError):
 
 class StructureError(ToolkitError):
     """Declarations do not form a well-shaped program (e.g. no objective)."""
+
+
+class SolverError(ToolkitError):
+    """The simplex did not end within its pivot ceiling."""

@@ -11,18 +11,22 @@ the whole tableau is updated unmasked and the pivot row keeps its bits.
 Otherwise the update is masked: the rows with a zero pivot-column entry are
 not written at all, so their -0.0 entries keep their sign. ``eps`` must be
 finite and non-negative. Entries of the canonical program are exact
-rationals: ints, as the readers give a whole value, or Fractions. Instances
-are desk scale (n, m up to 100).
+rationals: ints, as the readers give a whole value, or Fractions; any other
+type raises StructureError. Instances are desk scale (n, m up to 100). Bland's
+rule ends in exact arithmetic, but this simplex is float with eps ties, so
+each run has a pivot ceiling proportional to its tableau, past which it
+raises SolverError rather than loop.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .canonical import DEFAULT_EPS, CanonicalFormulation
-from .errors import StructureError, ValidationError
+from .errors import SolverError, StructureError, ValidationError
 from .ingest import NUMBER, Record, read
 from .numbers import JsonNumbers
 
@@ -31,6 +35,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 MAX_SIZE = 100
+# Pivots one simplex run may make per row and column of its tableau. The
+# most measured on the seed-7 and seed-8 solve corpora is 1.93 (176 pivots
+# on a tableau of 91 rows and columns).
+PIVOTS_PER_LINE = 50
 
 
 @dataclass
@@ -94,21 +102,25 @@ def _run_simplex(tableau, basis, costs, eps):
     body, rhs = tableau[:, :-1], tableau[:, -1]
     basic = np.array(basis, dtype=np.intp)  # kept equal to basis
     basic_costs = costs[basic]  # kept equal to costs[basic]
-    while True:
+    cost_list = costs.tolist()
+    below = -eps
+    ceiling = PIVOTS_PER_LINE * sum(tableau.shape)
+    for _ in range(ceiling + 1):  # ceiling pivots, and the test after the last
         reduced = costs - basic_costs @ body
         reduced[basic] = 0.0
-        negative = reduced < -eps
-        col = int(negative.argmax())  # Bland: smallest eligible index
+        negative = reduced < below
+        col = negative.argmax()  # Bland: smallest eligible index
         if not negative[col]:
             return OPTIMAL
+        col = int(col)
         # Ratios of Python floats: the same IEEE division numpy would do. The
         # tie-break is sequential: a ratio within eps of the running best
         # replaces it only if its basic variable has a smaller index. A
         # min-then-argmin over the ratios would not choose the same row.
         row = -1
-        for i, (a, b) in enumerate(zip(body[:, col].tolist(), rhs.tolist())):
+        for i, a in enumerate(body[:, col].tolist()):
             if a > eps:
-                ratio = b / a
+                ratio = rhs.item(i) / a
                 if row < 0 or ratio < best_ratio - eps or (
                     abs(ratio - best_ratio) <= eps and basis[i] < basis[row]
                 ):
@@ -118,23 +130,28 @@ def _run_simplex(tableau, basis, costs, eps):
             return UNBOUNDED
         _pivot(tableau, basis, row, col)
         basic[row] = col
-        basic_costs[row] = costs[col]
+        basic_costs[row] = cost_list[col]
+    rows, columns = tableau.shape
+    raise SolverError(f"simplex needed more than {ceiling} pivots on a "
+                      f"{rows}x{columns} tableau")
 
 
 def solve_lp(formulation: CanonicalFormulation, eps: float = DEFAULT_EPS) -> LpSolution:
     """Solve a canonical program; optimal solutions are vertex solutions.
 
-    Entries of ``formulation`` must be ints or Fractions. Each is converted
-    as ``numerator / denominator``, the float ``float()`` gives for either
-    type. On the constraint entries of the seed-7 solve benchmark corpus
-    (Python 3.11, 2-vCPU Xeon, min of 7) read as Fractions it took 0.096 s,
-    against 0.23-0.28 s for ``map(float, row)``, ``float()`` and
-    ``np.array(..., dtype=float)``; read as ints, as they now are, it takes
-    0.034 s, against about 0.02 s for each of those.
+    Entries of ``formulation`` must be ints or Fractions, not bools;
+    anything else, such as a float or a str, raises ``StructureError``. Each
+    entry is read as the float ``numerator / denominator``, which is what
+    ``float()`` gives for both types; an int too large for a float raises
+    ``OverflowError``.
 
     ``eps`` must be finite and non-negative: a negative one lets the simplex
     pivot forever, and NaN fails every comparison, so the first basis would
     be reported optimal.
+
+    Each simplex run may make ``PIVOTS_PER_LINE`` times (rows + columns) of
+    its tableau pivots, far above any count measured; past that it raises
+    ``SolverError`` rather than loop.
     """
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
@@ -148,39 +165,45 @@ def solve_lp(formulation: CanonicalFormulation, eps: float = DEFAULT_EPS) -> LpS
         raise StructureError(
             f"{m} constraint rows but {len(formulation.limits)} limits"
         )
+    types = set(map(type, formulation.objective))
+    types.update(map(type, formulation.limits))
     for i, row in enumerate(formulation.constraints):
         if len(row) != n:
             raise StructureError(
                 f"constraint row {i} has {len(row)} entries, expected {n}"
             )
+        types.update(map(type, row))
+    bad = sorted(t.__name__ for t in types
+                 if t is bool or not issubclass(t, (int, Fraction)))
+    if bad:
+        raise StructureError(
+            f"entries must be ints or Fractions, got {', '.join(bad)}"
+        )
     if n > MAX_SIZE or m > MAX_SIZE:
         raise StructureError(f"instance exceeds desk scale ({MAX_SIZE})")
 
-    c = np.array([v.numerator / v.denominator for v in formulation.objective])
-    a = np.array([
-        [v.numerator / v.denominator for v in row]
-        for row in formulation.constraints
-    ]).reshape(m, n)
-    b = np.array([v.numerator / v.denominator for v in formulation.limits])
+    c = np.array(formulation.objective, dtype=float)
+    b = np.array(formulation.limits, dtype=float)
 
     # Ax + s = b with slacks s >= 0; rows with negative b are negated and get
     # an artificial variable to provide an initial basis. The tableau's
     # columns are x | slacks | artificials | b.
     negate = b < 0
-    art_rows = np.flatnonzero(negate)
-    n_art = art_rows.size
-    tableau = np.zeros((m, n + m + n_art + 1))
-    tableau[:, :n] = a
-    tableau[range(m), range(n, n + m)] = 1.0
+    art_rows = np.flatnonzero(negate).tolist()
+    n_art = len(art_rows)
+    width = n + m + n_art + 1
+    tableau = np.zeros((m, width))
+    tableau[:, :n] = np.array(formulation.constraints, dtype=float).reshape(m, n)
+    # The slack identity, written through a flat view of the new array.
+    tableau.reshape(-1)[n:m * width:width + 1] = 1.0
     tableau[:, -1] = b
-    tableau[negate, : n + m] *= -1.0
-    tableau[negate, -1] *= -1.0
-    tableau[art_rows, range(n + m, n + m + n_art)] = 1.0
     basis = list(range(n, n + m))  # slack basis by default
-    for k, i in enumerate(art_rows.tolist()):
-        basis[i] = n + m + k
-
     if n_art:
+        tableau[negate, : n + m] *= -1.0
+        tableau[negate, -1] *= -1.0
+        for k, i in enumerate(art_rows, n + m):
+            tableau[i, k] = 1.0
+            basis[i] = k
         phase1_costs = np.zeros(n + m + n_art)
         phase1_costs[n + m:] = 1.0
         _run_simplex(tableau, basis, phase1_costs, eps)
@@ -193,11 +216,12 @@ def solve_lp(formulation: CanonicalFormulation, eps: float = DEFAULT_EPS) -> LpS
                 pivot_cols = np.flatnonzero(np.abs(tableau[i, : n + m]) > eps)
                 if pivot_cols.size:
                     _pivot(tableau, basis, i, int(pivot_cols[0]))
-        # Rows still basic in an artificial are redundant: drop them, and
-        # the artificial columns, in one step.
-        keep = [i for i in range(m) if basis[i] < n + m]
-        tableau = tableau[np.ix_(keep, [*range(n + m), -1])]
-        basis = [basis[i] for i in keep]
+        tableau = np.concatenate((tableau[:, : n + m], tableau[:, -1:]), axis=1)
+        # Rows still basic in an artificial are redundant: drop them.
+        if max(basis) >= n + m:
+            keep = [i for i in range(m) if basis[i] < n + m]
+            tableau = tableau[keep]
+            basis = [basis[i] for i in keep]
 
     phase2_costs = np.concatenate([c, np.zeros(m)])
     status = _run_simplex(tableau, basis, phase2_costs, eps)

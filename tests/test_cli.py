@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from lpwp import ingest, ir
+from lpwp import ingest, ir, solver
 from lpwp.cli import main
 
 from helpers import (MUTANT_VALUES, berry_problem, json_paths, matching_chain,
@@ -325,6 +325,18 @@ def test_solve_rejects_bad_eps(runner, tmp_path, eps):
     result = runner.invoke(main, ["solve", "--in", str(path), "--eps", eps])
     assert result.exit_code == 1
     assert "error: eps must be finite and non-negative" in result.output
+
+
+def test_solve_past_the_pivot_ceiling_exits_one(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "PIVOTS_PER_LINE", 0)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({
+        "n_vars": 2, "objective": ["-1", "-1"],
+        "constraints": [["1", "2"], ["3", "1"]], "limits": ["4", "6"],
+    }))
+    result = runner.invoke(main, ["solve", "--in", str(path)])
+    assert result.exit_code == 1
+    assert "error: simplex needed more than 0 pivots on a 2x5 tableau" in result.output
 
 
 def test_validation_error_exits_one(runner, tmp_path):

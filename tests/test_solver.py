@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lpwp import solver
 from lpwp.canonical import CanonicalFormulation, canonicalize
-from lpwp.errors import StructureError
+from lpwp.errors import SolverError, StructureError
 from lpwp.solver import solve_lp
 
 from helpers import berry_problem
@@ -256,38 +256,12 @@ def test_pivot_matches_row_by_row_reference_bit_for_bit():
     assert masked and unmasked
 
 
-# Far more pivots than Bland's rule takes on any program below: a solver
-# whose basis falls out of step with its tableau fails the test, not hangs.
-PIVOT_BUDGET = 10_000
-
-
-@pytest.fixture
-def pivot_budget(monkeypatch):
-    """Caps the pivots of ``solver._pivot``; call the returned function to
-    start the count of the next program."""
-    count = [0]
-    pivot = solver._pivot
-
-    def budgeted_pivot(*args):
-        count[0] += 1
-        if count[0] > PIVOT_BUDGET:
-            raise AssertionError(f"more than {PIVOT_BUDGET} pivots on one program")
-        return pivot(*args)
-
-    def next_program():
-        count[0] = 0
-
-    monkeypatch.setattr(solver, "_pivot", budgeted_pivot)
-    return next_program
-
-
-def test_simplex_matches_row_by_row_reference_bit_for_bit(pivot_budget):
+def test_simplex_matches_row_by_row_reference_bit_for_bit():
     # Small integer data and zero limits make ratio ties and degenerate
     # pivots common, so the sequential Bland tie-break decides many pivots.
     rng = random.Random(404)
     statuses = set()
     for _ in range(300):
-        pivot_budget()
         n, m = rng.randint(2, 8), rng.randint(2, 8)
         a = [[rng.choice([-2, -1, 0, 0, 1, 2, 0.5]) for _ in range(n)]
              for _ in range(m)]
@@ -330,7 +304,7 @@ def answer_bits(solution):
 
 
 def test_solve_lp_matches_row_by_row_reference_end_to_end(
-        monkeypatch, pivot_budget, leftover_pivots):
+        monkeypatch, leftover_pivots):
     """Phase 1, the leftover-artificial pivots and phase 2 together."""
     rng = random.Random(1011)
     programs = []
@@ -362,7 +336,6 @@ def test_solve_lp_matches_row_by_row_reference_end_to_end(
     statuses, leftover, negated_zero = set(), 0, 0
     for c, a, b in programs:
         formulation = form(c, a, b)
-        pivot_budget()
         leftover_pivots[0] = 0
         got = answer_bits(solve_lp(formulation))
         leftover += leftover_pivots[0] > 0
@@ -387,9 +360,60 @@ def test_empty_program_is_optimal():
 @settings(max_examples=300, deadline=None)
 @given(st.fractions(), st.integers())
 def test_float_of_entries_is_numerator_over_denominator(fraction, integer):
-    # solve_lp converts entries this way instead of with float().
-    for v in (fraction, integer, Fraction(integer, 3**40)):
+    # solve_lp reads entries with np.array(..., dtype=float); its docstring
+    # promises numerator / denominator, which is also what float() gives.
+    values = [fraction, integer, Fraction(integer, 3**40)]
+    for v in values:
         assert (v.numerator / v.denominator).hex() == float(v).hex()
+    read = np.array(values, dtype=float).tolist()
+    assert [x.hex() for x in read] == [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("bad", ["1", 1.0, True])
+@pytest.mark.parametrize("part", ["objective", "constraints", "limits"])
+def test_entries_must_be_ints_or_fractions(part, bad):
+    # numpy would read "1" and 1.0 as 1.0, and True as 1.0.
+    parts = {"objective": [1], "constraints": [[1]], "limits": [1]}
+    parts[part] = [[bad]] if part == "constraints" else [bad]
+    formulation = CanonicalFormulation(n_vars=1, **parts)
+    message = f"entries must be ints or Fractions, got {type(bad).__name__}"
+    with pytest.raises(StructureError, match=message):
+        solve_lp(formulation)
+
+
+@pytest.mark.parametrize("limit", [
+    2**53 + 1, 10**30 + 7, Fraction(1, 3), Fraction(10**40 + 1, 7),
+])
+def test_entry_is_read_as_numerator_over_denominator(limit):
+    # minimize -x subject to x <= limit: x is the limit as read.
+    solution = solve_lp(CanonicalFormulation(
+        n_vars=1, objective=[-1], constraints=[[1]], limits=[limit]))
+    assert solution.status == "optimal"
+    assert [v.hex() for v in solution.x] == [
+        (limit.numerator / limit.denominator).hex()]
+
+
+@pytest.mark.parametrize("part", ["objective", "constraints", "limits"])
+def test_int_too_large_for_a_float_raises_overflow(part):
+    parts = {"objective": [1], "constraints": [[1]], "limits": [1]}
+    parts[part] = [[10**400]] if part == "constraints" else [10**400]
+    with pytest.raises(OverflowError):
+        solve_lp(CanonicalFormulation(n_vars=1, **parts))
+
+
+def test_simplex_past_its_pivot_ceiling_raises(monkeypatch):
+    # minimize -x - y s.t. x + 2y <= 4, 3x + y <= 6 takes two pivots.
+    formulation = form([-1, -1], [[1, 2], [3, 1]], [4, 6])
+    monkeypatch.setattr(solver, "PIVOTS_PER_LINE", 1)
+    assert solve_lp(formulation).status == "optimal"
+    monkeypatch.setattr(solver, "PIVOTS_PER_LINE", 0)
+    with pytest.raises(SolverError,
+                       match="more than 0 pivots on a 2x5 tableau"):
+        solve_lp(formulation)
+    # The ceiling counts pivots: an optimal first basis and an unbounded
+    # first column need none.
+    assert solve_lp(form([1], [[1]], [1])).status == "optimal"
+    assert solve_lp(form([-1], [[-1]], [1])).status == "unbounded"
 
 
 def test_formulation_literals_are_read_exactly():
@@ -468,3 +492,45 @@ def test_programs_with_leftover_artificials_match_vertex_oracle(leftover_pivots)
         if solution.status == "optimal":
             assert solution.objective_value == pytest.approx(expected, abs=1e-6)
     assert reached >= 20
+
+
+def test_redundant_rows_dropped_after_phase_one_match_the_reference(monkeypatch):
+    """At eps >= 1 phase 1 can end with an artificial variable basic in a
+    row with no entry above eps to pivot on, and solve_lp drops that row.
+
+    Below eps 1 this does not happen: a row basic in artificial i holds
+    exactly -1.0 in slack column i, as the two columns stay exact negatives
+    of each other through every pivot.
+    """
+    calls = []
+    run_simplex = solver._run_simplex
+
+    def checking_run_simplex(tableau, basis, *args):
+        # Each run starts from a basis whose columns form the identity.
+        assert np.array_equal(tableau[:, basis], np.eye(len(basis)))
+        calls.append((tableau.shape, basis[:]))
+        return run_simplex(tableau, basis, *args)
+
+    monkeypatch.setattr(solver, "_run_simplex", checking_run_simplex)
+    rng = random.Random(271)
+    dropped = {}
+    for eps in (1.0, 1.5, 3.0):
+        dropped[eps] = 0
+        for _ in range(300):
+            n, m = rng.randint(1, 4), rng.randint(1, 6)
+            a = [[rng.choice((-2, -1, 0, 0, 1, 2, 0.5)) for _ in range(n)]
+                 for _ in range(m)]
+            b = [rng.choice((-2, -1, -1, 0, 0, 1)) for _ in range(m)]
+            formulation = form([rng.randint(-2, 3) for _ in range(n)], a, b)
+            calls.clear()
+            got = answer_bits(solve_lp(formulation, eps))
+            (rows, width), basis = calls[-1]
+            if rows < m:  # phase 2 runs without the dropped rows
+                dropped[eps] += 1
+                assert width == n + m + 1
+                assert all(k < n + m for k in basis)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_run_simplex", reference_run_simplex)
+                patch.setattr(solver, "_pivot", reference_pivot)
+                assert got == answer_bits(solve_lp(formulation, eps)), (a, b)
+    assert all(count >= 30 for count in dropped.values()), dropped
